@@ -14,42 +14,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
-from .channel import BitMapper, make_uniform_quantizer
-from .crlb import (
-    CompositionGuardError,
-    SingularFisherError,
-    crlb_from_fisher,
-    fisher_analog,
-    fisher_quantized_series,
-    fisher_quantized_simpson,
-)
 from .experiments import (
-    ConfigError,
-    _cell_calibration,
-    _stage_seed,
+    CONFIG_SCHEMA,
+    REFUSALS,
     compare_em_nr,
+    crlb_report,
     export_po_csv,
     export_report,
     export_trace_csv,
     load_config,
-    resolve_cells,
     run_campaign,
     run_trial,
 )
-from .field import GAUSSIAN_BELL, PARAM_NAMES
-from .network import deploy_uniform
+from .field import PARAM_NAMES
 
 
 def _add_common(parser):
     parser.add_argument("--config", metavar="PATH", help="key = value configuration file")
-    parser.add_argument("--seed", type=int, metavar="U64", help="override trials.base_seed")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument(
         "--format",
@@ -57,10 +42,16 @@ def _add_common(parser):
         default="both",
         help="which campaign artifacts to write (default: both)",
     )
-    parser.add_argument("--workers", type=int, metavar="N", help="override run.workers")
-    parser.add_argument("--trials", type=int, metavar="N", help="override trials.count")
-    parser.add_argument("--zeta", type=int, metavar="N", help="override crlb.zeta")
-    parser.add_argument("--nodes", type=int, metavar="N", help="override crlb.nodes (odd)")
+    for row in CONFIG_SCHEMA:
+        if row.flag is not None:
+            option, metavar, *note = row.flag.split(maxsplit=2)
+            parser.add_argument(
+                option,
+                dest=row.key,
+                type=row.kind,
+                metavar=metavar,
+                help=" ".join([f"override {row.key}", *note]),
+            )
 
 
 def build_parser():
@@ -80,18 +71,10 @@ def build_parser():
 
 
 def _overrides(args):
-    out = {}
-    if args.seed is not None:
-        out["trials.base_seed"] = str(args.seed)
-    if args.trials is not None:
-        out["trials.count"] = str(args.trials)
-    if args.workers is not None:
-        out["run.workers"] = str(args.workers)
-    if args.zeta is not None:
-        out["crlb.zeta"] = str(args.zeta)
-    if args.nodes is not None:
-        out["crlb.nodes"] = str(args.nodes)
-    return out
+    given = vars(args)
+    return {
+        row.key: str(given[row.key]) for row in CONFIG_SCHEMA if given.get(row.key) is not None
+    }
 
 
 def _out_dir(args):
@@ -146,41 +129,7 @@ def _cmd_campaign(cfg, args):
 
 
 def _cmd_crlb(cfg, args):
-    cells, ids = resolve_cells(cfg)
-    if len(cells) != 1:
-        raise ConfigError("the crlb command needs a single-cell configuration")
-    cell, data_id = cells[0], ids[0]
-    sigma2, eta2 = _cell_calibration(cfg, cell)
-    net = deploy_uniform(cell.k, cfg.area, _stage_seed(cfg, data_id, 0, 0))
-    net = net.with_sigma2(np.full(cell.k, sigma2))
-    bounds = {}
-    if cfg.channel == "analog":
-        fisher = fisher_analog(net, GAUSSIAN_BELL, cfg.truth, eta2)
-        bounds[fisher.provenance] = [float(v) for v in crlb_from_fisher(fisher)]
-    else:
-        quantizer = make_uniform_quantizer(cell.m, cfg.quantizer_lo, cfg.quantizer_hi)
-        bm = BitMapper(int(math.log2(cell.m)))
-        for fisher in (
-            fisher_quantized_series(
-                net, GAUSSIAN_BELL, cfg.truth, quantizer, bm, eta2, zeta=cfg.crlb_zeta
-            ),
-            fisher_quantized_simpson(
-                net, GAUSSIAN_BELL, cfg.truth, quantizer, bm, eta2, nodes=cfg.crlb_nodes
-            ),
-        ):
-            bounds[fisher.provenance] = [float(v) for v in crlb_from_fisher(fisher)]
-    payload = {
-        "k": cell.k,
-        "channel": cfg.channel,
-        "m": cell.m,
-        "snr_o_db": cell.snr_o_db,
-        "snr_c_db": cell.snr_c_db,
-        "sigma2": sigma2,
-        "eta2": eta2,
-        "param_names": list(PARAM_NAMES),
-        "crlb": bounds,
-    }
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(crlb_report(cfg), indent=2)
     print(text)
     out = _out_dir(args)
     if out is not None:
@@ -218,7 +167,7 @@ def main(argv=None):
         if args.command == "crlb":
             return _cmd_crlb(cfg, args)
         return _cmd_compare(cfg, args)
-    except (ConfigError, CompositionGuardError, SingularFisherError) as exc:
+    except REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -21,8 +21,10 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +57,10 @@ from .network import (
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (bad key, value, or combination)."""
+
+
+# Refusals of a configuration or of a bound (the CLI's exit code 2).
+REFUSALS = (ConfigError, CompositionGuardError, SingularFisherError)
 
 
 _CHANNELS = ("analog", "quantized")
@@ -322,6 +328,12 @@ def _trial_seed_value(cfg, data_cell_id, trial):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _quantizer(cfg, cell):
+    """(quantizer, bit mapper) of a quantized cell."""
+    quantizer = make_uniform_quantizer(cell.m, cfg.quantizer_lo, cfg.quantizer_hi)
+    return quantizer, BitMapper(int(math.log2(cell.m)))
+
+
 def _cell_calibration(cfg, cell):
     """Noise variances (sigma2, eta2) for one cell; pure function of the cell."""
     sigma2 = calibrate_sigma(GAUSSIAN_BELL, cfg.truth, cfg.area, cell.snr_o_db, grid=cfg.grid)
@@ -330,12 +342,11 @@ def _cell_calibration(cfg, cell):
             GAUSSIAN_BELL, cfg.truth, cfg.area, sigma2, cell.snr_c_db, grid=cfg.grid
         )
     else:
-        quantizer = make_uniform_quantizer(cell.m, cfg.quantizer_lo, cfg.quantizer_hi)
         eta2 = calibrate_eta_quantized(
             GAUSSIAN_BELL,
             cfg.truth,
             cfg.area,
-            quantizer,
+            _quantizer(cfg, cell)[0],
             sigma2,
             cell.snr_c_db,
             grid=cfg.grid,
@@ -343,22 +354,22 @@ def _cell_calibration(cfg, cell):
     return float(sigma2), float(eta2)
 
 
-def _run_cell_trial(cfg, cell, data_cell_id, trial, calib=None):
-    model = GAUSSIAN_BELL
-    if calib is None:
-        calib = _cell_calibration(cfg, cell)
-    sigma2, eta2 = calib
+def _deploy(cfg, cell, data_cell_id, trial, sigma2):
     net = deploy_uniform(cell.k, cfg.area, _stage_seed(cfg, data_cell_id, trial, 0))
-    net = net.with_sigma2(np.full(cell.k, sigma2))
+    return net.with_sigma2(np.full(cell.k, sigma2))
+
+
+def _run_cell_trial(cfg, cell, data_cell_id, trial, calib):
+    model = GAUSSIAN_BELL
+    sigma2, eta2 = calib
+    net = _deploy(cfg, cell, data_cell_id, trial, sigma2)
     digest = hashlib.sha256(net.positions.tobytes()).hexdigest()[:16]
     obs = sample_observations(net, model, cfg.truth, _stage_seed(cfg, data_cell_id, trial, 1))
     channel_seed = _stage_seed(cfg, data_cell_id, trial, 2)
     if cfg.channel == "analog":
         z = amplify_forward(obs, eta2, channel_seed)
-        quantizer = bm = None
     else:
-        quantizer = make_uniform_quantizer(cell.m, cfg.quantizer_lo, cfg.quantizer_hi)
-        bm = BitMapper(int(math.log2(cell.m)))
+        quantizer, bm = _quantizer(cfg, cell)
         z = quantize_forward(obs, quantizer, bm, eta2, channel_seed)
     if cfg.init_policy == "fixed":
         init = cfg.init_theta
@@ -366,7 +377,7 @@ def _run_cell_trial(cfg, cell, data_cell_id, trial, calib=None):
         init = initial_region_sample(
             cell.region, cfg.truth, _stage_seed(cfg, data_cell_id, trial, 3 + cell.region)
         )
-    seed_value = _trial_seed_value(cfg, data_cell_id, trial)
+    record = partial(TrialRecord, trial, _trial_seed_value(cfg, data_cell_id, trial), digest, init)
     try:
         if cfg.channel == "analog":
             result = newton_ml_analog(z, net, model, eta2, init, cfg.solver)
@@ -375,26 +386,9 @@ def _run_cell_trial(cfg, cell, data_cell_id, trial, calib=None):
         else:
             result = nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg.solver)
     except (EstimationError, np.linalg.LinAlgError, OverflowError, FloatingPointError) as exc:
-        return TrialRecord(
-            trial=trial,
-            seed=seed_value,
-            network_digest=digest,
-            init=init,
-            result=None,
-            se=None,
-            converged=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return TrialRecord(
-        trial=trial,
-        seed=seed_value,
-        network_digest=digest,
-        init=init,
-        result=result,
-        se=squared_error(result.theta_hat, cfg.truth),
-        converged=result.converged,
-        error=result.divergence_reason,
-    )
+        return record(None, None, False, f"{type(exc).__name__}: {exc}")
+    se = squared_error(result.theta_hat, cfg.truth)
+    return record(result, se, result.converged, result.divergence_reason)
 
 
 def run_trial(cfg, trial):
@@ -408,16 +402,16 @@ def run_trial(cfg, trial):
         raise ConfigError(
             f"run_trial needs a single-cell configuration, this one has {len(cells)} cells"
         )
-    return _run_cell_trial(cfg, cells[0], ids[0], int(trial))
+    calib = _cell_calibration(cfg, cells[0])
+    return _run_cell_trial(cfg, cells[0], ids[0], int(trial), calib)
 
 
 def _trial_star(args):
     return _run_cell_trial(*args)
 
 
-def run_cell_trials(cfg, cell, data_cell_id, executor=None):
-    """All trial records for one cell, in trial order."""
-    calib = _cell_calibration(cfg, cell)
+def _cell_trials(cfg, cell, data_cell_id, calib, executor):
+    """All trial records for one calibrated cell, in trial order."""
     args = [(cfg, cell, data_cell_id, t, calib) for t in range(cfg.trials)]
     if executor is None:
         return [_run_cell_trial(*a) for a in args]
@@ -425,35 +419,80 @@ def run_cell_trials(cfg, cell, data_cell_id, executor=None):
     return list(executor.map(_trial_star, args, chunksize=chunk))
 
 
+def run_cell_trials(cfg, cell, data_cell_id):
+    """All trial records for one cell, in trial order."""
+    return _cell_trials(cfg, cell, data_cell_id, _cell_calibration(cfg, cell), None)
+
+
 # ----------------------------------------------------------------- campaign
 
 
+def _cell_bounds(cfg, cell, data_cell_id, calib, methods):
+    """CRLB diagonals keyed by provenance, on the trial-0 network so the bound
+    refers to the geometry the first trial saw.  The analog channel has one
+    closed form; a quantized cell gets one route per entry of ``methods``.
+    Refusals raise."""
+    sigma2, eta2 = calib
+    net = _deploy(cfg, cell, data_cell_id, 0, sigma2)
+    if cfg.channel == "analog":
+        fishers = [fisher_analog(net, GAUSSIAN_BELL, cfg.truth, eta2)]
+    else:
+        args = (net, GAUSSIAN_BELL, cfg.truth, *_quantizer(cfg, cell), eta2)
+        routes = {
+            "series": lambda: fisher_quantized_series(*args, zeta=cfg.crlb_zeta),
+            "simpson": lambda: fisher_quantized_simpson(*args, nodes=cfg.crlb_nodes),
+        }
+        fishers = [routes[method]() for method in methods]
+    return {f.provenance: [float(v) for v in crlb_from_fisher(f)] for f in fishers}
+
+
 def _cell_crlb(cfg, cell, data_cell_id, calib):
-    """CRLB diagonal for a cell, computed on the trial-0 network so the bound
-    refers to the same geometry the first trial saw; returns (diag, error)."""
+    """(diag, error) for a campaign cell by ``crlb.method``; a refused bound
+    is reported in ``error``, not raised."""
     if not cfg.crlb_enabled:
         return None, None
-    sigma2, eta2 = calib
-    net = deploy_uniform(cell.k, cfg.area, _stage_seed(cfg, data_cell_id, 0, 0))
-    net = net.with_sigma2(np.full(cell.k, sigma2))
     try:
-        if cfg.channel == "analog":
-            fisher = fisher_analog(net, GAUSSIAN_BELL, cfg.truth, eta2)
-        else:
-            quantizer = make_uniform_quantizer(cell.m, cfg.quantizer_lo, cfg.quantizer_hi)
-            bm = BitMapper(int(math.log2(cell.m)))
-            if cfg.crlb_method == "simpson":
-                fisher = fisher_quantized_simpson(
-                    net, GAUSSIAN_BELL, cfg.truth, quantizer, bm, eta2, nodes=cfg.crlb_nodes
-                )
-            else:
-                fisher = fisher_quantized_series(
-                    net, GAUSSIAN_BELL, cfg.truth, quantizer, bm, eta2, zeta=cfg.crlb_zeta
-                )
-        diag = crlb_from_fisher(fisher)
+        (diag,) = _cell_bounds(cfg, cell, data_cell_id, calib, (cfg.crlb_method,)).values()
     except (SingularFisherError, CompositionGuardError, ValueError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
-    return [float(v) for v in diag], None
+    return diag, None
+
+
+def crlb_report(cfg):
+    """CRLB diagonal of a single-cell configuration by every route (series
+    and Simpson when quantized), with the cell's calibration: what
+    ``fieldest crlb`` prints.  Refused bounds raise."""
+    cells, ids = resolve_cells(cfg)
+    if len(cells) != 1:
+        raise ConfigError("the crlb command needs a single-cell configuration")
+    cell = cells[0]
+    calib = _cell_calibration(cfg, cell)
+    out = _cell_key_dict(cfg, cell)
+    del out["estimator"], out["region"]
+    out["sigma2"], out["eta2"] = calib
+    out["param_names"] = list(PARAM_NAMES)
+    out["crlb"] = _cell_bounds(cfg, cell, ids[0], calib, ("series", "simpson"))
+    return out
+
+
+def _sweep(cfg, estimators):
+    """Per cell, yield (cell, records of each estimator, (crlb_diag,
+    crlb_error)).  A cell is calibrated once and bounded once; every
+    estimator runs on the same trials, in a pool of ``run.workers``
+    processes when that is above 1."""
+    cells, ids = resolve_cells(cfg)
+    executor = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    try:
+        for cell, data_id in zip(cells, ids):
+            calib = _cell_calibration(cfg, cell)
+            records = [
+                _cell_trials(replace(cfg, estimator=e), cell, data_id, calib, executor)
+                for e in estimators
+            ]
+            yield cell, records, _cell_crlb(cfg, cell, data_id, calib)
+    finally:
+        if executor is not None:
+            executor.shutdown()
 
 
 def _cell_key_dict(cfg, cell):
@@ -503,78 +542,31 @@ def aggregate_cell(cfg, cell, records, tau_grid, crlb_diag=None, crlb_error=None
     return out
 
 
-def _config_dict(cfg):
-    """Flat dotted-key echo of the configuration (same schema as the file)."""
+def _report(cfg, rows):
     return {
-        "field.h": cfg.truth.h,
-        "field.rho_x": cfg.truth.rho_x,
-        "field.rho_y": cfg.truth.rho_y,
-        "field.x_c": cfg.truth.x_c,
-        "field.y_c": cfg.truth.y_c,
-        "area.x_min": cfg.area.x_min,
-        "area.x_max": cfg.area.x_max,
-        "area.y_min": cfg.area.y_min,
-        "area.y_max": cfg.area.y_max,
-        "network.k": list(cfg.k_values),
-        "channel.kind": cfg.channel,
-        "channel.m": list(cfg.m_values),
-        "channel.quantizer_lo": cfg.quantizer_lo,
-        "channel.quantizer_hi": cfg.quantizer_hi,
-        "snr.observation_db": list(cfg.snr_o_db),
-        "snr.channel_db": list(cfg.snr_c_db),
-        "estimator.kind": cfg.estimator,
-        "solver.tol": cfg.solver.tol,
-        "solver.max_outer": cfg.solver.max_outer,
-        "solver.max_inner": cfg.solver.max_inner,
-        "solver.damping": cfg.solver.damping,
-        "solver.ridge": cfg.solver.ridge,
-        "trials.count": cfg.trials,
-        "trials.base_seed": cfg.base_seed,
-        "init.policy": cfg.init_policy,
-        "init.theta": [float(v) for v in cfg.init_theta.as_array()],
-        "init.regions": list(cfg.init_regions),
-        "crlb.enabled": cfg.crlb_enabled,
-        "crlb.method": cfg.crlb_method,
-        "crlb.zeta": cfg.crlb_zeta,
-        "crlb.nodes": cfg.crlb_nodes,
-        "report.tau_min": cfg.tau_min,
-        "report.tau_max": cfg.tau_max,
-        "report.tau_count": cfg.tau_count,
-        "quadrature.grid": cfg.grid,
-        "run.workers": cfg.workers,
+        "version": __version__,
+        "config": _config_dict(cfg),
+        "param_names": list(PARAM_NAMES),
+        "tau_grid": [float(v) for v in cfg.tau_grid],
+        "cells": rows,
     }
 
 
-def run_campaign(cfg, workers=None):
+def run_campaign(cfg):
     """Run every cell of the sweep and return the full report dictionary.
 
     Aggregation is a fixed-order reduction by trial index, so the report is
     bit-identical for a given (config, base seed, version) regardless of the
     worker count.
     """
-    cells, ids = resolve_cells(cfg)
     tau = cfg.tau_grid
-    n_workers = cfg.workers if workers is None else int(workers)
-    executor = None
-    cell_rows = []
-    try:
-        if n_workers > 1:
-            executor = ProcessPoolExecutor(max_workers=n_workers)
-        for cell, data_id in zip(cells, ids):
-            records = run_cell_trials(cfg, cell, data_id, executor=executor)
-            calib = _cell_calibration(cfg, cell)
-            crlb_diag, crlb_error = _cell_crlb(cfg, cell, data_id, calib)
-            cell_rows.append(aggregate_cell(cfg, cell, records, tau, crlb_diag, crlb_error))
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    return {
-        "version": __version__,
-        "config": _config_dict(cfg),
-        "param_names": list(PARAM_NAMES),
-        "tau_grid": [float(v) for v in tau],
-        "cells": cell_rows,
-    }
+    return _report(
+        cfg,
+        [
+            aggregate_cell(cfg, cell, records, tau, *crlb)
+            for cell, (records,), crlb in _sweep(cfg, (cfg.estimator,))
+        ],
+    )
 
 
 def compare_em_nr(cfg):
@@ -589,26 +581,21 @@ def compare_em_nr(cfg):
         raise ConfigError("the EM/NR comparison needs channel.kind = quantized")
     cfg_em = replace(cfg, estimator="em")
     cfg_nr = replace(cfg, estimator="nr")
-    cells, ids = resolve_cells(cfg_em)
-    tau = cfg_em.tau_grid
+    tau = cfg.tau_grid
     rows = []
-    for cell, data_id in zip(cells, ids):
-        rec_em = run_cell_trials(cfg_em, cell, data_id)
-        rec_nr = run_cell_trials(cfg_nr, cell, data_id)
+    for cell, (rec_em, rec_nr), crlb in _sweep(cfg, ("em", "nr")):
         joint = [
             (e, n) for e, n in zip(rec_em, rec_nr) if e.converged and n.converged
         ]
         se_rank_em = [r.se if r.se is not None else np.inf for r in rec_em]
         se_rank_nr = [r.se if r.se is not None else np.inf for r in rec_nr]
-        calib = _cell_calibration(cfg_em, cell)
-        crlb_diag, crlb_error = _cell_crlb(cfg_em, cell, data_id, calib)
         rows.append(
             {
                 "cell": {k: v for k, v in _cell_key_dict(cfg_em, cell).items() if k != "estimator"},
                 "n_trials": len(rec_em),
                 "n_jointly_converged": len(joint),
-                "em": aggregate_cell(cfg_em, cell, rec_em, tau, crlb_diag, crlb_error),
-                "nr": aggregate_cell(cfg_nr, cell, rec_nr, tau, crlb_diag, crlb_error),
+                "em": aggregate_cell(cfg_em, cell, rec_em, tau, *crlb),
+                "nr": aggregate_cell(cfg_nr, cell, rec_nr, tau, *crlb),
                 "em_mean_iterations_joint": (
                     float(np.mean([e.result.iterations for e, _ in joint])) if joint else None
                 ),
@@ -619,13 +606,7 @@ def compare_em_nr(cfg):
                 "nr_median_se": float(np.median(se_rank_nr)),
             }
         )
-    return {
-        "version": __version__,
-        "config": _config_dict(cfg),
-        "param_names": list(PARAM_NAMES),
-        "tau_grid": [float(v) for v in tau],
-        "cells": rows,
-    }
+    return _report(cfg, rows)
 
 
 # ------------------------------------------------------------------- export
@@ -635,12 +616,15 @@ _CELL_KEY_COLUMNS = ("k", "channel", "m", "snr_o_db", "snr_c_db", "estimator", "
 
 
 def _fmt(value):
+    """One CSV field: empty for None, 0/1 for booleans, exact repr for floats."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if isinstance(value, str):
+        return value
     return repr(float(value))
 
 
@@ -683,7 +667,7 @@ def export_report(report, path, fmt="json"):
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(list(_CELL_KEY_COLUMNS) + ["statistic", "value"])
                 for cell_row in report["cells"]:
-                    key = [_fmt_key(cell_row.get(c)) for c in _CELL_KEY_COLUMNS]
+                    key = [_fmt(cell_row.get(c)) for c in _CELL_KEY_COLUMNS]
                     for stat, value in _cell_stat_rows(cell_row):
                         writer.writerow(key + [stat, _fmt(value)])
         else:
@@ -691,18 +675,6 @@ def export_report(report, path, fmt="json"):
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
     return path
-
-
-def _fmt_key(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def export_po_csv(report, path):
@@ -714,7 +686,7 @@ def export_po_csv(report, path):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(list(_CELL_KEY_COLUMNS) + ["tau", "po"])
             for cell_row in report["cells"]:
-                key = [_fmt_key(cell_row.get(c)) for c in _CELL_KEY_COLUMNS]
+                key = [_fmt(cell_row.get(c)) for c in _CELL_KEY_COLUMNS]
                 po = cell_row.get("po")
                 if po is None:
                     continue
@@ -754,6 +726,68 @@ def load_report(path):
 # -------------------------------------------------------------------- config
 
 
+class ConfigKey(NamedTuple):
+    """One dotted configuration key: the ExperimentConfig field it sets (and
+    the attribute within it, for the truth, area and solver), the element
+    type, whether it takes a comma-separated list, and the command-line
+    option that overrides it ("--option METAVAR [help note]")."""
+
+    key: str
+    field: str
+    sub: str | None = None
+    kind: type = float
+    many: bool = False
+    flag: str | None = None
+
+
+# Every configuration key, in echo order; defaults are the ExperimentConfig
+# field defaults.
+CONFIG_SCHEMA = (
+    *(ConfigKey(f"field.{name}", "truth", name) for name in PARAM_NAMES),
+    *(ConfigKey(f"area.{name}", "area", name) for name in ("x_min", "x_max", "y_min", "y_max")),
+    ConfigKey("network.k", "k_values", kind=int, many=True),
+    ConfigKey("channel.kind", "channel", kind=str),
+    ConfigKey("channel.m", "m_values", kind=int, many=True),
+    ConfigKey("channel.quantizer_lo", "quantizer_lo"),
+    ConfigKey("channel.quantizer_hi", "quantizer_hi"),
+    ConfigKey("snr.observation_db", "snr_o_db", many=True),
+    ConfigKey("snr.channel_db", "snr_c_db", many=True),
+    ConfigKey("estimator.kind", "estimator", kind=str),
+    ConfigKey("solver.tol", "solver", "tol"),
+    ConfigKey("solver.max_outer", "solver", "max_outer", kind=int),
+    ConfigKey("solver.max_inner", "solver", "max_inner", kind=int),
+    ConfigKey("solver.damping", "solver", "damping", kind=int),
+    ConfigKey("solver.ridge", "solver", "ridge"),
+    ConfigKey("trials.count", "trials", kind=int, flag="--trials N"),
+    ConfigKey("trials.base_seed", "base_seed", kind=int, flag="--seed U64"),
+    ConfigKey("init.policy", "init_policy", kind=str),
+    ConfigKey("init.theta", "init_theta", many=True),
+    ConfigKey("init.regions", "init_regions", kind=int, many=True),
+    ConfigKey("crlb.enabled", "crlb_enabled", kind=bool),
+    ConfigKey("crlb.method", "crlb_method", kind=str),
+    ConfigKey("crlb.zeta", "crlb_zeta", kind=int, flag="--zeta N"),
+    ConfigKey("crlb.nodes", "crlb_nodes", kind=int, flag="--nodes N (odd)"),
+    ConfigKey("report.tau_min", "tau_min"),
+    ConfigKey("report.tau_max", "tau_max"),
+    ConfigKey("report.tau_count", "tau_count", kind=int),
+    ConfigKey("quadrature.grid", "grid", kind=int),
+    ConfigKey("run.workers", "workers", kind=int, flag="--workers N"),
+)
+
+
+def _config_dict(cfg):
+    """Flat dotted-key echo of the configuration (same schema as the file)."""
+    out = {}
+    for row in CONFIG_SCHEMA:
+        value = getattr(cfg, row.field)
+        if row.sub is not None:
+            value = getattr(value, row.sub)
+        if isinstance(value, FieldParams):
+            value = value.as_array().tolist()
+        out[row.key] = list(value) if row.many else value
+    return out
+
+
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -769,11 +803,16 @@ def _parse_scalar(key, text, kind):
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-def _parse_list(key, text, kind):
-    items = [part.strip() for part in str(text).split(",") if part.strip()]
+def _parse_value(row, raw):
+    """A key's value from text or, for list keys, a Python list or tuple;
+    every item is parsed and checked as its own scalar."""
+    if not row.many:
+        return _parse_scalar(row.key, str(raw), row.kind)
+    items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+    items = [str(item) for item in items if str(item).strip()]
     if not items:
-        raise ConfigError(f"{key} must list at least one value")
-    return tuple(_parse_scalar(key, part, kind) for part in items)
+        raise ConfigError(f"{row.key} must list at least one value")
+    return tuple(_parse_scalar(row.key, item, row.kind) for item in items)
 
 
 def parse_config_text(text):
@@ -799,83 +838,24 @@ def config_from_mapping(mapping):
     """Build an ExperimentConfig from a flat dotted-key mapping; unknown keys
     are an error so typos never pass silently."""
     mapping = dict(mapping)
-
-    def take(key, default=None):
-        return mapping.pop(key, default)
-
-    def scalar(key, kind, default):
-        raw = take(key)
-        return default if raw is None else _parse_scalar(key, str(raw), kind)
-
-    def listing(key, kind, default):
-        raw = take(key)
+    kwargs = {}
+    parts = {}
+    for row in CONFIG_SCHEMA:
+        raw = mapping.pop(row.key, None)
         if raw is None:
-            return default
-        if isinstance(raw, (list, tuple)):
-            return tuple(kind(v) for v in raw)
-        return _parse_list(key, str(raw), kind)
-
-    base = ExperimentConfig()
-    truth = FieldParams(
-        h=scalar("field.h", float, base.truth.h),
-        rho_x=scalar("field.rho_x", float, base.truth.rho_x),
-        rho_y=scalar("field.rho_y", float, base.truth.rho_y),
-        x_c=scalar("field.x_c", float, base.truth.x_c),
-        y_c=scalar("field.y_c", float, base.truth.y_c),
-    )
-    area = Area(
-        x_min=scalar("area.x_min", float, base.area.x_min),
-        x_max=scalar("area.x_max", float, base.area.x_max),
-        y_min=scalar("area.y_min", float, base.area.y_min),
-        y_max=scalar("area.y_max", float, base.area.y_max),
-    )
-    solver = SolverConfig(
-        tol=scalar("solver.tol", float, base.solver.tol),
-        max_outer=scalar("solver.max_outer", int, base.solver.max_outer),
-        max_inner=scalar("solver.max_inner", int, base.solver.max_inner),
-        damping=scalar("solver.damping", int, base.solver.damping),
-        ridge=scalar("solver.ridge", float, base.solver.ridge),
-    )
-    init_raw = take("init.theta")
-    if init_raw is None:
-        init_theta = base.init_theta
-    else:
-        values = (
-            tuple(float(v) for v in init_raw)
-            if isinstance(init_raw, (list, tuple))
-            else _parse_list("init.theta", str(init_raw), float)
-        )
-        if len(values) != N_PARAMS:
-            raise ConfigError(f"init.theta needs {N_PARAMS} values, got {len(values)}")
-        init_theta = FieldParams.from_array(np.array(values))
+            continue
+        value = _parse_value(row, raw)
+        if row.sub is None:
+            kwargs[row.field] = value
+        else:
+            parts.setdefault(row.field, {})[row.sub] = value
+    if len(kwargs.get("init_theta", ())) not in (0, N_PARAMS):
+        raise ConfigError(f"init.theta needs {N_PARAMS} values, got {len(kwargs['init_theta'])}")
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     try:
-        cfg = ExperimentConfig(
-            truth=truth,
-            area=area,
-            k_values=listing("network.k", int, base.k_values),
-            channel=str(take("channel.kind", base.channel)).strip(),
-            m_values=listing("channel.m", int, base.m_values),
-            quantizer_lo=scalar("channel.quantizer_lo", float, base.quantizer_lo),
-            quantizer_hi=scalar("channel.quantizer_hi", float, base.quantizer_hi),
-            snr_o_db=listing("snr.observation_db", float, base.snr_o_db),
-            snr_c_db=listing("snr.channel_db", float, base.snr_c_db),
-            estimator=str(take("estimator.kind", "auto")).strip(),
-            solver=solver,
-            trials=scalar("trials.count", int, base.trials),
-            base_seed=scalar("trials.base_seed", int, base.base_seed),
-            init_policy=str(take("init.policy", base.init_policy)).strip(),
-            init_theta=init_theta,
-            init_regions=listing("init.regions", int, base.init_regions),
-            crlb_enabled=scalar("crlb.enabled", bool, base.crlb_enabled),
-            crlb_method=str(take("crlb.method", base.crlb_method)).strip(),
-            crlb_zeta=scalar("crlb.zeta", int, base.crlb_zeta),
-            crlb_nodes=scalar("crlb.nodes", int, base.crlb_nodes),
-            tau_min=scalar("report.tau_min", float, base.tau_min),
-            tau_max=scalar("report.tau_max", float, base.tau_max),
-            tau_count=scalar("report.tau_count", int, base.tau_count),
-            grid=scalar("quadrature.grid", int, base.grid),
-            workers=scalar("run.workers", int, base.workers),
-        )
+        for name, values in parts.items():
+            kwargs[name] = replace(defaults[name], **values)
+        cfg = ExperimentConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if mapping:

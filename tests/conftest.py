@@ -14,6 +14,7 @@ from fieldest import (
     deploy_uniform,
     make_uniform_quantizer,
 )
+from fieldest import experiments
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +55,17 @@ def quantized_15db(truth, area, sigma2_15db):
 @pytest.fixture(scope="session")
 def analog_eta2_15db(truth, area, sigma2_15db):
     return calibrate_eta_analog(GAUSSIAN_BELL, truth, area, sigma2_15db, 15.0)
+
+
+@pytest.fixture()
+def calibration_calls(monkeypatch):
+    """Cells passed to the per-cell noise calibration, in call order."""
+    calls = []
+    real = experiments._cell_calibration
+
+    def counting(cfg, cell):
+        calls.append(cell)
+        return real(cfg, cell)
+
+    monkeypatch.setattr(experiments, "_cell_calibration", counting)
+    return calls

@@ -1,9 +1,12 @@
 """End-to-end CLI checks: subcommands, artifacts, overrides, exit codes."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+from fieldest import cli
 from fieldest.cli import build_parser, main
 
 ANALOG_CFG = """
@@ -150,14 +153,53 @@ def test_crlb_needs_single_cell(tmp_path, capsys):
 def test_crlb_singular_fisher_exit_code(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, ANALOG_CFG.replace("network.k = 6", "network.k = 1"))
     assert main(["crlb", "--config", cfg]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: Fisher matrix is numerically singular" in capsys.readouterr().err
 
 
 def test_crlb_composition_guard_exit_code(tmp_path, capsys):
     text = QUANTIZED_CFG.replace("channel.m = 4", "channel.m = 8")
     cfg = _cfg_file(tmp_path, text)
     assert main(["crlb", "--config", cfg, "--zeta", "40"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "(guard: " in capsys.readouterr().err
+
+
+def test_crlb_calibrates_once(tmp_path, capsys, calibration_calls):
+    cfg = _cfg_file(tmp_path, QUANTIZED_CFG)
+    assert main(["crlb", "--config", cfg, "--zeta", "4", "--nodes", "21"]) == 0
+    assert len(calibration_calls) == 1
+
+
+def test_override_flags_map_to_config_keys():
+    args = build_parser().parse_args(
+        ["crlb", "--seed", "5", "--trials", "3", "--workers", "2", "--zeta", "4", "--nodes", "23"]
+    )
+    assert cli._overrides(args) == {
+        "trials.count": "3",
+        "trials.base_seed": "5",
+        "crlb.zeta": "4",
+        "crlb.nodes": "23",
+        "run.workers": "2",
+    }
+    assert cli._overrides(build_parser().parse_args(["crlb"])) == {}
+
+
+def test_cli_imports_no_private_experiments_names():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.setdefault(module, []).extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name, [])
+    names = imported.get(".experiments", []) + imported.get("fieldest.experiments", [])
+    assert names and not [n for n in names if n.startswith("_")]
+    # the CLI reaches the numerics only through experiments
+    numerics = {"numpy", "math"} | {
+        prefix + name for prefix in (".", "fieldest.") for name in ("crlb", "channel", "network")
+    }
+    assert not numerics & set(imported)
 
 
 def test_bad_config_key_exit_code(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Campaign machinery: metrics, sweep resolution, trials, aggregation, config."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldest.experiments import (
+    CONFIG_SCHEMA,
     Cell,
     ConfigError,
     ExperimentConfig,
@@ -460,6 +463,16 @@ def test_config_from_mapping_defaults_and_lists():
         config_from_mapping({"init.theta": "1,2,3"})
     with pytest.raises(ConfigError):
         config_from_mapping({"crlb.enabled": "maybe"})
+    # list items given as Python values are parsed like the text form
+    with pytest.raises(ConfigError):
+        config_from_mapping({"network.k": [10.7]})
+    with pytest.raises(ConfigError):
+        config_from_mapping({"init.theta": ["a", 1, 1, 1, 1]})
+    # the truth, area and solver check their own values
+    with pytest.raises(ConfigError):
+        config_from_mapping({"solver.tol": "-1"})
+    with pytest.raises(ConfigError):
+        config_from_mapping({"area.x_max": "-1"})
 
 
 def test_config_echo_roundtrip():
@@ -474,6 +487,29 @@ def test_config_echo_roundtrip():
         init_regions=(2, 5),
     )
     assert config_from_mapping(_config_dict(cfg)) == cfg
+
+
+def _readme_config_table():
+    """(keys, defaults) of each row of the README's configuration key table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = []
+    for line in text.split("| Key | Default | Meaning |", 1)[1].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        key_cell, default_cell = line.split("|")[1:3]
+        rows.append((re.findall(r"`([^`]+)`", key_cell), re.findall(r"`([^`]+)`", default_cell)))
+    return rows
+
+
+def test_readme_key_table_matches_schema():
+    rows = _readme_config_table()
+    keys = [key for row_keys, _ in rows for key in row_keys]
+    assert keys == [row.key for row in CONFIG_SCHEMA]
+    default = ExperimentConfig()
+    for row_keys, defaults in rows:
+        assert len(row_keys) == len(defaults)
+        for key, text in zip(row_keys, defaults):
+            assert config_from_mapping({key: text}) == default, key
 
 
 def test_load_config_file_and_overrides(tmp_path):
@@ -511,3 +547,37 @@ def test_compare_requires_quantized_before_running_anything():
     cfg = replace(_tiny_analog_cfg(), trials=10_000)  # would be slow if it ran
     with pytest.raises(ConfigError):
         compare_em_nr(cfg)
+
+
+def _without_workers(report):
+    """The report as JSON, minus the one field that echoes run.workers."""
+    report = json.loads(json.dumps(report))
+    del report["config"]["run.workers"]
+    return json.dumps(report, indent=2)
+
+
+def test_reports_identical_across_worker_counts():
+    cfg = _tiny_analog_cfg(k_values=(5, 9), trials=5, crlb_enabled=True)
+    serial = run_campaign(cfg)
+    assert _without_workers(run_campaign(replace(cfg, workers=2))) == _without_workers(serial)
+    qcfg = ExperimentConfig(
+        channel="quantized", k_values=(8,), m_values=(2, 4), trials=3,
+        crlb_enabled=False, tau_count=5,
+    )
+    serial = compare_em_nr(qcfg)
+    assert _without_workers(compare_em_nr(replace(qcfg, workers=2))) == _without_workers(serial)
+
+
+def test_each_cell_is_calibrated_once(calibration_calls):
+    cfg = _tiny_analog_cfg(k_values=(5, 9), crlb_enabled=True)
+    cells, _ = resolve_cells(cfg)
+    run_campaign(cfg)
+    assert calibration_calls == cells
+    calibration_calls.clear()
+    qcfg = ExperimentConfig(
+        channel="quantized", k_values=(8,), m_values=(2, 4), trials=2,
+        crlb_method="series", tau_count=5,
+    )
+    cells, _ = resolve_cells(qcfg)
+    compare_em_nr(qcfg)
+    assert calibration_calls == cells
