@@ -2,10 +2,14 @@
 
 Analog channel: closed form I = sum_k grad G_k grad G_k^T / (sigma2_k + eta2_k).
 
-Quantized channel: the Fisher matrix involves per-sensor expectations
+Quantized channel: I = sum_k sum_{j,i} dp_kj dp_ki^T Phi_kji, with the
+per-sensor expectations
 Phi_kji = (2 pi eta^2)^(-alpha/2) * Int e_j(z) e_i(z) / x_k(z) dz over the
 alpha-dimensional received word, where e_j(z) = exp(-||z - b_j||^2/(2 eta^2))
-and x_k(z) = sum_v p_kv e_v(z).  Two evaluation routes are provided:
+and x_k(z) = sum_v p_kv e_v(z).  The Fisher identity's second-derivative
+term has no place here: every level's weight integrates to 1, which leaves
+sum_j d2p_kj, the second derivative of sum_j p_kj = 1, and that is 0.  Two
+evaluation routes for Phi are provided:
 
 * a truncated series: 1/x = sum_n (1-x)^n converges because 0 < x <= 1;
   expanding x^w multinomially turns every term into a Gaussian product
@@ -222,11 +226,10 @@ def _series_coefficients(zeta):
 def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
     """Quantized-channel Fisher information by the truncated series.
 
-    I = sum_k [ sum_{j,i} dp_kj dp_ki Phi_kji - sum_j d2p_kj ] with
+    I = sum_k sum_{j,i} dp_kj dp_ki Phi_kji with
     Phi_kji = sum over compositions ell (weight w <= zeta) of
-    c_w * prod_v p_kv^{ell_v} / prod_v ell_v! * lambda_term(ell, j, i);
-    the first-term weights Gamma_kj equal 1 exactly.  The result is
-    symmetrized before output.
+    c_w * prod_v p_kv^{ell_v} / prod_v ell_v! * lambda_term(ell, j, i).
+    The result is symmetrized before output.
     """
     zeta = int(zeta)
     if zeta < 0:
@@ -247,7 +250,7 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
     grads = model.gradient(params, net.x, net.y)
     hesses = model.hessian(params, net.x, net.y)
     sigma = np.sqrt(net.sigma2)
-    p, dp, d2p = _p_derivatives_batch(quantizer, g, grads, hesses, sigma)
+    p, dp, _ = _p_derivatives_batch(quantizer, g, grads, hesses, sigma)
 
     ell_all, totals = _composition_table(zeta, m)
     coef = _series_coefficients(zeta)[totals]
@@ -283,9 +286,7 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
                     lam[:, j, i] = val
                     lam[:, i, j] = val
             phi += (wt.T @ lam.reshape(ell.shape[0], -1)).reshape(k_idx.size, m, m)
-        term2 = np.einsum("kjs,kji,kit->st", dp[k_idx], phi, dp[k_idx], optimize=True)
-        term1 = d2p[k_idx].sum(axis=(0, 1))
-        entries += term2 - term1
+        entries += np.einsum("kjs,kji,kit->st", dp[k_idx], phi, dp[k_idx], optimize=True)
     return FisherMatrix(0.5 * (entries + entries.T), f"series(zeta={zeta})")
 
 
@@ -326,29 +327,26 @@ def _grid_slabs(bm, eta2, nodes):
         yield factors[0][i0][None, :] * e_inner, w[i0] * w_inner
 
 
-def _phi_gamma_simpson(p_group, bm, eta2, nodes):
-    """Phi_kji and Gamma_j for one eta2 value by tensor-grid Simpson."""
+def _phi_simpson(p_group, bm, eta2, nodes):
+    """Phi_kji for one eta2 value by tensor-grid Simpson."""
     m = bm.m
     kg = p_group.shape[0]
     phi = np.zeros((kg, m, m))
-    gamma = np.zeros(m)
     for e_blk, w_blk in _grid_slabs(bm, eta2, nodes):
-        gamma += e_blk.T @ w_blk
         x = e_blk @ p_group.T
         y = np.divide(
             w_blk[:, None], x, out=np.zeros_like(x), where=x > 0
         )
         for idx in range(kg):
             phi[idx] += (e_blk * y[:, idx][:, None]).T @ e_blk
-    norm = (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0)
-    return phi * norm, gamma * norm
+    return phi * (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0)
 
 
 def fisher_quantized_simpson(net, model, params, quantizer, bm, eta2, nodes=81):
     """Quantized-channel Fisher information by alpha-dimensional composite
     Simpson quadrature (the accuracy oracle for the series route):
 
-    I = sum_k [ sum_{j,i} dp_kj dp_ki Phi_kji - sum_j d2p_kj Gamma_j ].
+    I = sum_k sum_{j,i} dp_kj dp_ki Phi_kji.
     """
     nodes = _check_simpson_args(bm, nodes)
     if quantizer.m != bm.m:
@@ -360,16 +358,14 @@ def fisher_quantized_simpson(net, model, params, quantizer, bm, eta2, nodes=81):
     grads = model.gradient(params, net.x, net.y)
     hesses = model.hessian(params, net.x, net.y)
     sigma = np.sqrt(net.sigma2)
-    p, dp, d2p = _p_derivatives_batch(quantizer, g, grads, hesses, sigma)
+    p, dp, _ = _p_derivatives_batch(quantizer, g, grads, hesses, sigma)
 
     n_params = dp.shape[2]
     entries = np.zeros((n_params, n_params))
     for eta_val in np.unique(eta2v):
         k_idx = np.flatnonzero(eta2v == eta_val)
-        phi, gamma = _phi_gamma_simpson(p[k_idx], bm, float(eta_val), nodes)
-        term2 = np.einsum("kjs,kji,kit->st", dp[k_idx], phi, dp[k_idx], optimize=True)
-        term1 = np.einsum("kjst,j->st", d2p[k_idx], gamma)
-        entries += term2 - term1
+        phi = _phi_simpson(p[k_idx], bm, float(eta_val), nodes)
+        entries += np.einsum("kjs,kji,kit->st", dp[k_idx], phi, dp[k_idx], optimize=True)
     return FisherMatrix(0.5 * (entries + entries.T), f"quadrature(nodes={nodes})")
 
 

@@ -1,10 +1,11 @@
 """Fusion-center estimators of the field parameters.
 
-Analog channel: damped Newton ascent on the Gaussian log-likelihood.
-Quantized channel: either EM on the latent pre-quantization readings (each
-M-step freezes the posterior quantities and solves the resulting score
-equations by an inner damped Newton), or Newton-Raphson directly on the
-mixture log-likelihood as a baseline.
+Analog channel: damped Newton ascent on the Gaussian log-likelihood, a
+weighted least-squares fit of the field to the readings.
+Quantized channel: either EM on the latent pre-quantization readings (the
+E-step computes the posterior means A_k of the readings; the M-step is the
+analog least-squares fit to A_k, solved by the same inner damped Newton), or
+Newton-Raphson directly on the mixture log-likelihood as a baseline.
 
 All estimators are deterministic functions of (data, init, config) and report
 their iterate path plus the incomplete-data log-likelihood per iterate.
@@ -35,7 +36,8 @@ class SolverConfig:
 
     tol: componentwise threshold on |delta theta| for stopping;
     max_outer: outer (EM or Newton) iteration cap;
-    max_inner: inner Newton cap for the EM score equations;
+    max_inner: inner Newton cap for the EM M-step (the analog least-squares
+        fit to the posterior means);
     damping: number of step-halvings the backtracking line search may take;
     ridge: Hessian regularization used only when factorization fails.
     """
@@ -189,6 +191,34 @@ def loglik_analog(z, net, model, params, eta2):
     return float(-0.5 * np.sum((zv - g) ** 2 / (net.sigma2 + eta2v)))
 
 
+def _wls_ascent(target, w, net, model, theta0, cfg, grad_tol, max_iter, stall_limit):
+    """Fit the field to per-sensor targets by damped Newton ascent on the
+    weighted least-squares objective -1/2 sum_k w_k (target_k - G_k)^2.
+
+    Analog ML fits the readings z with w = 1/(sigma2 + eta2); the EM M-step
+    fits the posterior means A with w = 1/sigma2.
+    """
+    x, y = net.x, net.y
+
+    def value(theta):
+        g = model.value(FieldParams.from_array(theta), x, y)
+        return float(-0.5 * np.sum(w * (target - g) ** 2))
+
+    def derivs(theta):
+        params = FieldParams.from_array(theta)
+        g = model.value(params, x, y)
+        grads = model.gradient(params, x, y)
+        hesses = model.hessian(params, x, y)
+        res = target - g
+        grad = (w * res) @ grads
+        hess = np.einsum("k,k,kst->st", w, res, hesses) - np.einsum(
+            "k,ks,kt->st", w, grads, grads
+        )
+        return grad, hess
+
+    return _damped_newton_ascent(value, derivs, theta0, cfg, grad_tol, max_iter, stall_limit)
+
+
 def newton_ml_analog(z, net, model, eta2, init, cfg):
     """ML estimate over the analog channel by damped Newton ascent."""
     zv = np.asarray(z.z, dtype=float)
@@ -198,26 +228,9 @@ def newton_ml_analog(z, net, model, eta2, init, cfg):
         raise ValueError("network has no calibrated sigma2")
     eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
     w = 1.0 / (net.sigma2 + eta2v)
-    x, y = net.x, net.y
-
-    def value(theta):
-        g = model.value(FieldParams.from_array(theta), x, y)
-        return float(-0.5 * np.sum(w * (zv - g) ** 2))
-
-    def derivs(theta):
-        params = FieldParams.from_array(theta)
-        g = model.value(params, x, y)
-        grads = model.gradient(params, x, y)
-        hesses = model.hessian(params, x, y)
-        res = zv - g
-        grad = (w * res) @ grads
-        hess = np.einsum("k,k,kst->st", w, res, hesses) - np.einsum(
-            "k,ks,kt->st", w, grads, grads
-        )
-        return grad, hess
-
-    out = _damped_newton_ascent(
-        value, derivs, init.as_array(), cfg, grad_tol=1e-4 * net.k, max_iter=cfg.max_outer
+    out = _wls_ascent(
+        zv, w, net, model, init.as_array(), cfg,
+        grad_tol=1e-4 * net.k, max_iter=cfg.max_outer, stall_limit=3,
     )
     return _pack_result(*out)
 
@@ -302,12 +315,11 @@ def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
 
 
 def _em_quantities_batch(zmat, quantizer, bm, g, sigma, eta2v):
-    """Posterior quantities feeding the EM score equations, all sensors at once.
-
-    Returns (A, B): A_k is the posterior mean E[R_k | z_k] of the latent
-    reading under the current parameters; B_k the posterior total mass of the
-    level probabilities (identically 1 up to roundoff — kept in computed form
-    because the score equations consume it as a coefficient).
+    """E-step for all sensors at once: A_k, the posterior mean E[R_k | z_k] of
+    the latent reading under the current field values g.  The posterior mass
+    sum_j w_kj p_kj is 1 by construction, so the M-step surrogate
+    sum_k (A_k G_k - G_k^2/2)/sigma2_k is the analog least-squares objective
+    with A in place of the readings, up to a constant.
     """
     p = level_probabilities(quantizer, g, sigma)
     d = _bit_distances(zmat, bm.codebook, eta2v)
@@ -320,18 +332,16 @@ def _em_quantities_batch(zmat, quantizer, bm, g, sigma, eta2v):
     u = (quantizer.boundaries[None, :] - g[:, None]) / sigma[:, None]
     dens = np.exp(-0.5 * u * u)
     diff = (sigma / _SQRT_2PI)[:, None] * (dens[:, :-1] - dens[:, 1:])
-    a_val = np.einsum("kj,kj->k", w, diff + g[:, None] * p)
-    b_val = np.einsum("kj,kj->k", w, p)
-    return a_val, b_val
+    return np.einsum("kj,kj->k", w, diff + g[:, None] * p)
 
 
 def em_quantities(z_k, quantizer, bm, g_m, sigma, eta2):
-    """Single-sensor EM posterior quantities (A, B) given the received word
-    z_k, the current field value g_m at the sensor, and the noise levels."""
+    """Single-sensor EM posterior mean A given the received word z_k, the
+    current field value g_m at the sensor, and the noise levels."""
     zmat = np.asarray(z_k, dtype=float).reshape(1, -1)
     if zmat.shape[1] != bm.alpha:
         raise ValueError(f"z_k must have alpha={bm.alpha} entries")
-    a_val, b_val = _em_quantities_batch(
+    a_val = _em_quantities_batch(
         zmat,
         quantizer,
         bm,
@@ -339,59 +349,26 @@ def em_quantities(z_k, quantizer, bm, g_m, sigma, eta2):
         np.atleast_1d(np.asarray(sigma, dtype=float)),
         np.atleast_1d(np.asarray(eta2, dtype=float)),
     )
-    return float(a_val[0]), float(b_val[0])
-
-
-def _em_inner_solve(net, model, a_val, b_val, theta_m, cfg):
-    """M-step: with A, B frozen, maximize the per-sensor quadratic surrogate
-    sum_k (A_k G_k - B_k G_k^2/2)/sigma2_k by damped Newton on its score."""
-    w = 1.0 / net.sigma2
-    x, y = net.x, net.y
-
-    def value(theta):
-        g = model.value(FieldParams.from_array(theta), x, y)
-        return float(np.sum(w * (a_val * g - 0.5 * b_val * g * g)))
-
-    def derivs(theta):
-        params = FieldParams.from_array(theta)
-        g = model.value(params, x, y)
-        grads = model.gradient(params, x, y)
-        hesses = model.hessian(params, x, y)
-        coef = w * (a_val - b_val * g)
-        grad = coef @ grads
-        hess = np.einsum("k,kst->st", coef, hesses) - np.einsum(
-            "k,ks,kt->st", w * b_val, grads, grads
-        )
-        return grad, hess
-
-    grad_tol = 1e-7 * net.k * max(1.0, float(np.mean(w)))
-    trace, _, _, reason = _damped_newton_ascent(
-        value, derivs, theta_m, cfg, grad_tol=grad_tol, max_iter=cfg.max_inner, stall_limit=1
-    )
-    return trace[-1], reason
-
-
-def _em_score(net, model, a_val, b_val, theta):
-    """Score equations the M-step drives to zero, evaluated at theta with the
-    given frozen A, B; by the EM fixed-point identity this equals the
-    incomplete-data score when A, B are fresh at theta."""
-    params = FieldParams.from_array(theta)
-    g = model.value(params, net.x, net.y)
-    grads = model.gradient(params, net.x, net.y)
-    return ((a_val - b_val * g) / net.sigma2) @ grads
+    return float(a_val[0])
 
 
 def em_step(z, net, quantizer, bm, model, eta2, theta_m, cfg):
-    """One EM cycle: freeze A, B at theta_m, solve the score equations."""
+    """One EM cycle: the E-step at theta_m, then the analog least-squares
+    fit of the field to the posterior means."""
     zmat = _check_bits_input(z, net, quantizer, bm)
     eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
     theta = theta_m.as_array()
+    w = 1.0 / net.sigma2
+    tol = 1e-7 * net.k * max(1.0, float(np.mean(w)))
     g = model.value(theta_m, net.x, net.y)
-    a_val, b_val = _em_quantities_batch(zmat, quantizer, bm, g, np.sqrt(net.sigma2), eta2v)
-    score = _em_score(net, model, a_val, b_val, theta)
-    if np.max(np.abs(score)) < 1e-7 * net.k * max(1.0, float(np.mean(1.0 / net.sigma2))):
+    a_val = _em_quantities_batch(zmat, quantizer, bm, g, np.sqrt(net.sigma2), eta2v)
+    score = (w * (a_val - g)) @ model.gradient(theta_m, net.x, net.y)
+    if np.max(np.abs(score)) < tol:
         return theta_m  # already a fixed point
-    new_theta, reason = _em_inner_solve(net, model, a_val, b_val, theta, cfg)
+    trace, _, _, reason = _wls_ascent(
+        a_val, w, net, model, theta, cfg, tol, cfg.max_inner, stall_limit=1
+    )
+    new_theta = trace[-1]
     if reason is not None and reason not in ("stalled", "max_iterations") and np.array_equal(new_theta, theta):
         raise EstimationError(f"inner solver failed: {reason}")
     return FieldParams.from_array(new_theta)
@@ -412,6 +389,8 @@ def em_estimate(z, net, quantizer, bm, model, eta2, init, cfg):
             z, net, quantizer, bm, model, FieldParams.from_array(theta_arr), eta2
         )
 
+    w = 1.0 / net.sigma2
+    inner_tol = 1e-7 * net.k * max(1.0, float(np.mean(w)))
     trace = [theta.copy()]
     values = [loglik(theta)]
     converged = False
@@ -420,13 +399,18 @@ def em_estimate(z, net, quantizer, bm, model, eta2, init, cfg):
     stalls = 0
     score_tol = 1e-5 * net.k
     for _ in range(cfg.max_outer):
-        g = model.value(FieldParams.from_array(theta), net.x, net.y)
-        a_val, b_val = _em_quantities_batch(zmat, quantizer, bm, g, sigma, eta2v)
-        score = _em_score(net, model, a_val, b_val, theta)
+        params = FieldParams.from_array(theta)
+        g = model.value(params, net.x, net.y)
+        a_val = _em_quantities_batch(zmat, quantizer, bm, g, sigma, eta2v)
+        # the M-step score at theta, which equals the incomplete-data score
+        score = (w * (a_val - g)) @ model.gradient(params, net.x, net.y)
         if (prev_step is None or prev_step <= cfg.tol) and np.max(np.abs(score)) < score_tol:
             converged = True
             break
-        new_theta, inner_reason = _em_inner_solve(net, model, a_val, b_val, theta, cfg)
+        inner_trace, _, _, inner_reason = _wls_ascent(
+            a_val, w, net, model, theta, cfg, inner_tol, cfg.max_inner, stall_limit=1
+        )
+        new_theta = inner_trace[-1]
         if inner_reason not in (None, "stalled", "max_iterations") and np.array_equal(
             new_theta, theta
         ):

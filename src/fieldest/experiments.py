@@ -45,7 +45,7 @@ from .estimators import (
     newton_ml_analog,
     nr_estimate_quantized,
 )
-from .field import GAUSSIAN_BELL, N_PARAMS, PARAM_NAMES, Area, FieldParams
+from .field import GAUSSIAN_BELL, PARAM_NAMES, Area, FieldParams
 from .network import (
     calibrate_eta_analog,
     calibrate_eta_quantized,
@@ -71,7 +71,8 @@ _CRLB_METHODS = ("simpson", "series")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a campaign needs; sweep axes are tuples of values."""
+    """Everything a campaign needs; sweep axes are tuples of values, each
+    item converted and checked by its configuration key's element type."""
 
     truth: FieldParams = FieldParams(8.0, 2.0, 2.0, 4.0, 4.0)
     area: Area = Area()
@@ -100,6 +101,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for row in CONFIG_SCHEMA:
+            value = getattr(self, row.field)
+            if row.many and not isinstance(value, FieldParams):
+                object.__setattr__(self, row.field, _parse_value(row, value))
         for name in ("truth", "init_theta"):
             value = getattr(self, name)
             if not isinstance(value, FieldParams):
@@ -120,12 +125,7 @@ class ExperimentConfig:
             raise ConfigError("the analog channel is estimated by 'newton'")
         if self.channel == "quantized" and self.estimator == "newton":
             raise ConfigError("the quantized channel is estimated by 'em' or 'nr'")
-        for name in ("k_values", "m_values", "snr_o_db", "snr_c_db", "init_regions"):
-            vals = getattr(self, name)
-            object.__setattr__(self, name, tuple(vals))
-            if len(getattr(self, name)) == 0:
-                raise ConfigError(f"sweep {name} must be non-empty")
-        if any(int(k) < 1 for k in self.k_values):
+        if any(k < 1 for k in self.k_values):
             raise ConfigError("sensor counts must be >= 1")
         if (
             len(self.snr_o_db) > 1
@@ -139,7 +139,6 @@ class ExperimentConfig:
             )
         if self.channel == "quantized":
             for m in self.m_values:
-                m = int(m)
                 if m < 2 or (m & (m - 1)) != 0:
                     raise ConfigError(f"quantizer sizes must be powers of two >= 2, got {m}")
             if not self.quantizer_hi > self.quantizer_lo:
@@ -147,7 +146,7 @@ class ExperimentConfig:
         if self.init_policy not in _INIT_POLICIES:
             raise ConfigError(f"init policy must be one of {_INIT_POLICIES}")
         if self.init_policy == "region" and any(
-            not 1 <= int(i) <= 8 for i in self.init_regions
+            not 1 <= i <= 8 for i in self.init_regions
         ):
             raise ConfigError("initial regions must lie in 1..8")
         if self.trials < 1:
@@ -804,11 +803,11 @@ def _parse_scalar(key, text, kind):
 
 
 def _parse_value(row, raw):
-    """A key's value from text or, for list keys, a Python list or tuple;
-    every item is parsed and checked as its own scalar."""
+    """A key's value from text or, for list keys, from comma-separated text or
+    a sequence; every item is parsed and checked as its own scalar."""
     if not row.many:
         return _parse_scalar(row.key, str(raw), row.kind)
-    items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+    items = raw if np.iterable(raw) and not isinstance(raw, str) else str(raw).split(",")
     items = [str(item) for item in items if str(item).strip()]
     if not items:
         raise ConfigError(f"{row.key} must list at least one value")
@@ -844,13 +843,12 @@ def config_from_mapping(mapping):
         raw = mapping.pop(row.key, None)
         if raw is None:
             continue
-        value = _parse_value(row, raw)
+        # list keys are split and parsed by ExperimentConfig itself
+        value = raw if row.many else _parse_value(row, raw)
         if row.sub is None:
             kwargs[row.field] = value
         else:
             parts.setdefault(row.field, {})[row.sub] = value
-    if len(kwargs.get("init_theta", ())) not in (0, N_PARAMS):
-        raise ConfigError(f"init.theta needs {N_PARAMS} values, got {len(kwargs['init_theta'])}")
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     try:
         for name, values in parts.items():

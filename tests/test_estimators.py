@@ -23,7 +23,7 @@ from fieldest import (
     quantize_forward,
     sample_observations,
 )
-from fieldest.estimators import _em_quantities_batch, _em_score, _quantized_loglik_derivs
+from fieldest.estimators import _em_quantities_batch, _quantized_loglik_derivs
 
 from conftest import make_network
 
@@ -220,22 +220,12 @@ def test_em_quantities_match_quadrature(m):
         eta2 = rng.uniform(0.1, 1.5)
         level = rng.integers(1, m + 1)
         z_k = bm.codebook[level - 1] + np.sqrt(eta2) * rng.standard_normal(bm.alpha)
-        a, b = em_quantities(z_k, quantizer, bm, g, sigma, eta2)
+        a = em_quantities(z_k, quantizer, bm, g, sigma, eta2)
         a_ref, b_ref = _em_quantities_quad_oracle(z_k, quantizer, bm, g, sigma, eta2)
         assert a == pytest.approx(a_ref, abs=1e-8)
-        assert b == pytest.approx(b_ref, abs=1e-8)
-
-
-def test_em_quantities_posterior_mass_is_one():
-    # B telescopes to exactly 1: it is the posterior expectation of a
-    # total probability
-    quantizer = make_uniform_quantizer(8, 0.0, 12.0)
-    bm = BitMapper(3)
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        z_k = rng.uniform(-1, 2, size=3)
-        _, b = em_quantities(z_k, quantizer, bm, rng.uniform(0, 12), rng.uniform(0.2, 2), 0.6)
-        assert b == pytest.approx(1.0, abs=1e-12)
+        # the posterior mass is 1, which is why the M-step is the analog
+        # least-squares fit to A and no B is carried
+        assert b_ref == pytest.approx(1.0, abs=1e-8)
 
 
 def test_em_quantities_input_check():
@@ -245,9 +235,9 @@ def test_em_quantities_input_check():
 
 
 def test_em_score_equals_incomplete_data_score(truth, area, quantized_15db, sigma2_15db):
-    """EM fixed-point identity: with the posterior quantities refreshed at
-    theta, the structure-equation score equals the gradient of the received
-    log-likelihood at the same theta."""
+    """EM fixed-point identity: with the posterior means A refreshed at theta,
+    the score of the M-step fit, (A - G)/sigma2 @ grad G, equals the gradient
+    of the received log-likelihood at the same theta."""
     quantizer, bm, eta2 = quantized_15db
     net, z = _quantized_data(truth, area, sigma2_15db, quantizer, bm, eta2, k=20, seed=41)
     eta2v = np.full(net.k, eta2)
@@ -257,8 +247,9 @@ def test_em_score_equals_incomplete_data_score(truth, area, quantized_15db, sigm
         np.array([6.5, 2.4, 2.1, 4.8, 3.9]),
     ):
         g = GAUSSIAN_BELL.value(FieldParams.from_array(theta), net.x, net.y)
-        a_val, b_val = _em_quantities_batch(z.z, quantizer, bm, g, np.sqrt(net.sigma2), eta2v)
-        em_grad = _em_score(net, GAUSSIAN_BELL, a_val, b_val, theta)
+        a_val = _em_quantities_batch(z.z, quantizer, bm, g, np.sqrt(net.sigma2), eta2v)
+        grads = GAUSSIAN_BELL.gradient(FieldParams.from_array(theta), net.x, net.y)
+        em_grad = ((a_val - g) / net.sigma2) @ grads
         ml_grad, _ = _quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
         np.testing.assert_allclose(em_grad, ml_grad, rtol=1e-8, atol=1e-10)
 

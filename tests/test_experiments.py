@@ -475,6 +475,17 @@ def test_config_from_mapping_defaults_and_lists():
         config_from_mapping({"area.x_max": "-1"})
 
 
+def test_dataclass_sweeps_are_parsed_like_the_config_file(tmp_path):
+    # a fractional sensor count is refused, not truncated
+    with pytest.raises(ConfigError):
+        ExperimentConfig(k_values=(10.7,))
+    # NumPy scalars become plain values, so the report still serializes
+    cfg = ExperimentConfig(k_values=(np.int64(6),), trials=2, crlb_enabled=False)
+    path = tmp_path / "report.json"
+    export_report(run_campaign(cfg), path)
+    assert json.loads(path.read_text())["config"]["network.k"] == [6]
+
+
 def test_config_echo_roundtrip():
     from fieldest.experiments import _config_dict
 
