@@ -182,6 +182,17 @@ def level_probabilities(q, g, sigma):
     return p
 
 
+def _p_derivatives_batch(q, g, sigma):
+    """Level probabilities of R_k ~ N(g_k, sigma_k^2) and their first and
+    second derivatives in g_k: returns (p, dp/dg, d2p/dg2), each (K, M)."""
+    u = (q.boundaries[None, :] - g[:, None]) / sigma[:, None]
+    phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+    uphi = np.where(np.isfinite(u), u, 0.0) * phi
+    dp_dg = (phi[:, :-1] - phi[:, 1:]) / sigma[:, None]
+    d2p_dg2 = (uphi[:, :-1] - uphi[:, 1:]) / sigma[:, None] ** 2
+    return level_probabilities(q, g, sigma), dp_dg, d2p_dg2
+
+
 def bits_of_level(bm, j):
     """Bit word(s) for level index j (1-based); j may be scalar or array."""
     j = np.asarray(j)

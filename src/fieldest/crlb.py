@@ -3,7 +3,9 @@
 Analog channel: closed form I = sum_k grad G_k grad G_k^T / (sigma2_k + eta2_k).
 
 Quantized channel: I = sum_k sum_{j,i} dp_kj dp_ki^T Phi_kji, with the
-per-sensor expectations
+level-probability gradients dp_kj = dp_kj/dg * grad G_k (sensor k's levels
+depend on theta only through its field value g_k, so no route needs the
+field Hessian) and the per-sensor expectations
 Phi_kji = (2 pi eta^2)^(-alpha/2) * Int e_j(z) e_i(z) / x_k(z) dz over the
 alpha-dimensional received word, where e_j(z) = exp(-||z - b_j||^2/(2 eta^2))
 and x_k(z) = sum_v p_kv e_v(z).  The Fisher identity's second-derivative
@@ -26,10 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .channel import level_probabilities
+from .channel import _p_derivatives_batch, level_probabilities
 from ._quadrature import simpson_nodes_weights
-
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 #: refuse series evaluations with more enumerated terms than this
 COMPOSITION_GUARD = 10**7
@@ -111,23 +111,6 @@ def fisher_analog(net, model, params, eta2):
 # ------------------------------------------- level-probability derivatives
 
 
-def _p_derivatives_batch(quantizer, g, grads, hesses, sigma):
-    """Level probabilities and their first/second theta-derivatives for a
-    batch of sensors: returns (p: KxM, dp: KxMxL, d2p: KxMxLxL)."""
-    u = (quantizer.boundaries[None, :] - g[:, None]) / sigma[:, None]
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
-    uphi = np.where(np.isfinite(u), u, 0.0) * phi
-    dp_dg = (phi[:, :-1] - phi[:, 1:]) / sigma[:, None]
-    d2p_dg2 = (uphi[:, :-1] - uphi[:, 1:]) / sigma[:, None] ** 2
-    p = level_probabilities(quantizer, g, sigma)
-    dp = dp_dg[:, :, None] * grads[:, None, :]
-    d2p = (
-        d2p_dg2[:, :, None, None] * grads[:, None, :, None] * grads[:, None, None, :]
-        + dp_dg[:, :, None, None] * hesses[:, None, :, :]
-    )
-    return p, dp, d2p
-
-
 def p_derivatives(quantizer, g, grad_g, hess_g, sigma):
     """Chain rule through the field: dp_j/dtheta_s = dp_j/dg * dg/dtheta_s and
     d2p_j/dtheta2 = d2p_j/dg2 * grad grad^T + dp_j/dg * hess_g.
@@ -139,14 +122,15 @@ def p_derivatives(quantizer, g, grad_g, hess_g, sigma):
         raise ValueError("sigma must be positive")
     grad_g = np.asarray(grad_g, dtype=float)
     hess_g = np.asarray(hess_g, dtype=float)
-    _, dp, d2p = _p_derivatives_batch(
-        quantizer,
-        np.atleast_1d(float(g)),
-        grad_g[None, :],
-        hess_g[None, :, :],
-        np.atleast_1d(sigma),
+    _, dp_dg, d2p_dg2 = _p_derivatives_batch(
+        quantizer, np.atleast_1d(float(g)), np.atleast_1d(sigma)
     )
-    return dp[0], d2p[0]
+    dp = dp_dg[0][:, None] * grad_g[None, :]
+    d2p = (
+        d2p_dg2[0][:, None, None] * grad_g[None, :, None] * grad_g[None, None, :]
+        + dp_dg[0][:, None, None] * hess_g[None, :, :]
+    )
+    return dp, d2p
 
 
 # ------------------------------------------------------------------ series
@@ -248,9 +232,8 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
     eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
     g = model.value(params, net.x, net.y)
     grads = model.gradient(params, net.x, net.y)
-    hesses = model.hessian(params, net.x, net.y)
-    sigma = np.sqrt(net.sigma2)
-    p, dp, _ = _p_derivatives_batch(quantizer, g, grads, hesses, sigma)
+    p, dp_dg, _ = _p_derivatives_batch(quantizer, g, np.sqrt(net.sigma2))
+    dp = dp_dg[:, :, None] * grads[:, None, :]
 
     ell_all, totals = _composition_table(zeta, m)
     coef = _series_coefficients(zeta)[totals]
@@ -356,9 +339,8 @@ def fisher_quantized_simpson(net, model, params, quantizer, bm, eta2, nodes=81):
     eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
     g = model.value(params, net.x, net.y)
     grads = model.gradient(params, net.x, net.y)
-    hesses = model.hessian(params, net.x, net.y)
-    sigma = np.sqrt(net.sigma2)
-    p, dp, _ = _p_derivatives_batch(quantizer, g, grads, hesses, sigma)
+    p, dp_dg, _ = _p_derivatives_batch(quantizer, g, np.sqrt(net.sigma2))
+    dp = dp_dg[:, :, None] * grads[:, None, :]
 
     n_params = dp.shape[2]
     entries = np.zeros((n_params, n_params))

@@ -1,11 +1,19 @@
 """Fusion-center estimators of the field parameters.
 
+Sensor k's reading, its quantized level and its received word depend on
+theta only through the field value g_k = G(x_k, y_k; theta), so every
+log-likelihood here is sum_k l_k(g_k).  Each estimator computes the
+per-sensor slopes l'_k and l''_k in g and lifts them to theta by one chain
+rule: gradient sum_k l'_k grad G_k, Hessian
+sum_k (l'_k H_k + l''_k grad G_k grad G_k^T).
+
 Analog channel: damped Newton ascent on the Gaussian log-likelihood, a
 weighted least-squares fit of the field to the readings.
 Quantized channel: either EM on the latent pre-quantization readings (the
-E-step computes the posterior means A_k of the readings; the M-step is the
-analog least-squares fit to A_k, solved by the same inner damped Newton), or
-Newton-Raphson directly on the mixture log-likelihood as a baseline.
+E-step computes the posterior means A_k = g_k + sigma_k^2 l'_k of the
+readings; the M-step is the analog least-squares fit to A_k, solved by the
+same inner damped Newton), or Newton-Raphson directly on the mixture
+log-likelihood as a baseline.
 
 All estimators are deterministic functions of (data, init, config) and report
 their iterate path plus the incomplete-data log-likelihood per iterate.
@@ -18,12 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .channel import level_probabilities
-from .crlb import _p_derivatives_batch
+from .channel import _p_derivatives_batch, level_probabilities
 from .field import FieldParams, N_PARAMS
 
 _SQRT2 = np.sqrt(2.0)
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 class EstimationError(RuntimeError):
@@ -165,6 +171,13 @@ def _damped_newton_ascent(value_fn, derivs_fn, theta0, cfg, grad_tol, max_iter, 
     return trace, values, converged, (None if converged else reason)
 
 
+def _chain(d1, d2, grads, hesses):
+    """Gradient and Hessian in theta of sum_k l_k(g_k), given the per-sensor
+    slopes d1 = l' and d2 = l'' (the chain rule of the module docstring)."""
+    hess = np.einsum("k,kst->st", d1, hesses) + np.einsum("k,ks,kt->st", d2, grads, grads)
+    return d1 @ grads, hess
+
+
 def _pack_result(trace, values, converged, reason):
     arr = np.asarray(trace)
     return EstimateResult(
@@ -207,14 +220,9 @@ def _wls_ascent(target, w, net, model, theta0, cfg, grad_tol, max_iter, stall_li
     def derivs(theta):
         params = FieldParams.from_array(theta)
         g = model.value(params, x, y)
-        grads = model.gradient(params, x, y)
-        hesses = model.hessian(params, x, y)
-        res = target - g
-        grad = (w * res) @ grads
-        hess = np.einsum("k,k,kst->st", w, res, hesses) - np.einsum(
-            "k,ks,kt->st", w, grads, grads
+        return _chain(
+            w * (target - g), -w, model.gradient(params, x, y), model.hessian(params, x, y)
         )
-        return grad, hess
 
     return _damped_newton_ascent(value, derivs, theta0, cfg, grad_tol, max_iter, stall_limit)
 
@@ -273,25 +281,28 @@ def loglik_quantized(z, net, quantizer, bm, model, params, eta2):
     return float(np.sum(amax + np.log(s)))
 
 
-def _quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2v, theta):
-    """Gradient and Hessian of the quantized log-likelihood at theta."""
-    params = FieldParams.from_array(theta)
-    g = model.value(params, net.x, net.y)
-    grads = model.gradient(params, net.x, net.y)
-    hesses = model.hessian(params, net.x, net.y)
-    sigma = np.sqrt(net.sigma2)
-    p, dp, d2p = _p_derivatives_batch(quantizer, g, grads, hesses, sigma)
+def _loglik_slopes(zmat, quantizer, bm, g, sigma, eta2v):
+    """First and second derivatives in g_k of each sensor's term
+    l_k(g_k) = log sum_j p_kj(g_k) exp(-||z_k - b_j||^2/(2 eta2_k))."""
+    p, dp, d2p = _p_derivatives_batch(quantizer, g, sigma)
     d = _bit_distances(zmat, bm.codebook, eta2v)
     with np.errstate(divide="ignore"):
         amax = np.max(np.log(p) + d, axis=1)
     # exp(d - amax) keeps the mixture sum >= ~1 while the exponent stays modest
     t = np.exp(np.minimum(d - amax[:, None], 700.0))
     den = np.einsum("kj,kj->k", p, t)
-    a1 = np.einsum("kj,kjs->ks", t, dp) / den[:, None]
-    a2 = np.einsum("kj,kjst->kst", t, d2p) / den[:, None, None]
-    grad = a1.sum(axis=0)
-    hess = a2.sum(axis=0) - np.einsum("ks,kt->st", a1, a1)
-    return grad, hess
+    d1 = np.einsum("kj,kj->k", dp, t) / den
+    return d1, np.einsum("kj,kj->k", d2p, t) / den - d1 * d1
+
+
+def _quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2v, theta):
+    """Gradient and Hessian of the quantized log-likelihood at theta."""
+    params = FieldParams.from_array(theta)
+    g = model.value(params, net.x, net.y)
+    d1, d2 = _loglik_slopes(zmat, quantizer, bm, g, np.sqrt(net.sigma2), eta2v)
+    return _chain(
+        d1, d2, model.gradient(params, net.x, net.y), model.hessian(params, net.x, net.y)
+    )
 
 
 def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
@@ -316,23 +327,16 @@ def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
 
 def _em_quantities_batch(zmat, quantizer, bm, g, sigma, eta2v):
     """E-step for all sensors at once: A_k, the posterior mean E[R_k | z_k] of
-    the latent reading under the current field values g.  The posterior mass
-    sum_j w_kj p_kj is 1 by construction, so the M-step surrogate
-    sum_k (A_k G_k - G_k^2/2)/sigma2_k is the analog least-squares objective
-    with A in place of the readings, up to a constant.
+    the latent reading under the current field values g, which is
+    g_k + sigma_k^2 l'_k.  The posterior mass is 1 by construction, so the
+    M-step surrogate sum_k (A_k G_k - G_k^2/2)/sigma2_k is the analog
+    least-squares objective with A in place of the readings, up to a constant.
     """
-    p = level_probabilities(quantizer, g, sigma)
-    d = _bit_distances(zmat, bm.codebook, eta2v)
-    d = d - d.max(axis=1, keepdims=True)
-    e = np.exp(d)
-    den = np.einsum("kj,kj->k", p, e)
-    if not np.all(den > 0):
-        raise EstimationError("a received word has zero posterior mass at every level")
-    w = e / den[:, None]
-    u = (quantizer.boundaries[None, :] - g[:, None]) / sigma[:, None]
-    dens = np.exp(-0.5 * u * u)
-    diff = (sigma / _SQRT_2PI)[:, None] * (dens[:, :-1] - dens[:, 1:])
-    return np.einsum("kj,kj->k", w, diff + g[:, None] * p)
+    d1, _ = _loglik_slopes(zmat, quantizer, bm, g, sigma, eta2v)
+    a_val = g + sigma * sigma * d1
+    if not np.all(np.isfinite(a_val)):
+        raise EstimationError("a received word has a non-finite posterior mean")
+    return a_val
 
 
 def em_quantities(z_k, quantizer, bm, g_m, sigma, eta2):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fieldest import cli
+from fieldest import cli, estimators
 from fieldest.cli import build_parser, main
 
 ANALOG_CFG = """
@@ -183,16 +183,21 @@ def test_override_flags_map_to_config_keys():
     assert cli._overrides(build_parser().parse_args(["crlb"])) == {}
 
 
-def test_cli_imports_no_private_experiments_names():
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+def _imports(module):
+    """{imported module: [imported names]} of a module's source, by AST."""
     imported = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            imported.setdefault(module, []).extend(alias.name for alias in node.names)
+            name = "." * node.level + (node.module or "")
+            imported.setdefault(name, []).extend(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 imported.setdefault(alias.name, [])
+    return imported
+
+
+def test_cli_imports_no_private_experiments_names():
+    imported = _imports(cli)
     names = imported.get(".experiments", []) + imported.get("fieldest.experiments", [])
     assert names and not [n for n in names if n.startswith("_")]
     # the CLI reaches the numerics only through experiments
@@ -200,6 +205,8 @@ def test_cli_imports_no_private_experiments_names():
         prefix + name for prefix in (".", "fieldest.") for name in ("crlb", "channel", "network")
     }
     assert not numerics & set(imported)
+    # the estimators take the level derivatives from channel, not from crlb
+    assert not {".crlb", "fieldest.crlb"} & set(_imports(estimators))
 
 
 def test_bad_config_key_exit_code(tmp_path, capsys):

@@ -12,6 +12,7 @@ from fieldest import (
     FieldParams,
     FisherMatrix,
     GAUSSIAN_BELL,
+    GaussianBellModel,
     SingularFisherError,
     compositions,
     crlb_from_fisher,
@@ -392,30 +393,29 @@ def test_simpson_matches_score_outer_product_mc(truth, area, quantized_15db, sig
     assert np.abs(fm.entries - mc).max() / scale < 0.08
 
 
-def test_quantized_routes_ignore_second_derivatives(truth, area, monkeypatch):
+def test_quantized_routes_ignore_second_derivatives(truth, area):
     """The Fisher identity's second-derivative term is sum_j d2p_kj, which is
     0 by math (test_p_derivatives_match_finite_differences pins it), so no
-    quantized route may read d2p: adding a constant per level to every
-    sensor's d2p must leave the series and Simpson results unchanged."""
-    import fieldest.crlb
+    quantized route may need the field Hessian: with a model whose hessian
+    raises, the series and Simpson results are those of GAUSSIAN_BELL."""
+
+    class NoHessian(GaussianBellModel):
+        def hessian(self, params, x, y):
+            raise AssertionError("a quantized Fisher route read the field Hessian")
 
     net = make_network(5, area, 0.3937, seed=19)
     quantizer = make_uniform_quantizer(4, 0.0, 12.0)
     bm = BitMapper(2)
-    args = (net, GAUSSIAN_BELL, truth, quantizer, bm, 0.45)
-    before = (
-        fisher_quantized_series(*args, 3).entries,
-        fisher_quantized_simpson(*args, nodes=21).entries,
-    )
-    exact = fieldest.crlb._p_derivatives_batch
 
-    def perturbed(*batch_args):
-        p, dp, d2p = exact(*batch_args)
-        return p, dp, d2p + np.arange(1.0, p.shape[1] + 1.0)[None, :, None, None]
+    def bounds(model):
+        args = (net, model, truth, quantizer, bm, 0.45)
+        return (
+            fisher_quantized_series(*args, 3).entries,
+            fisher_quantized_simpson(*args, nodes=21).entries,
+        )
 
-    monkeypatch.setattr(fieldest.crlb, "_p_derivatives_batch", perturbed)
-    np.testing.assert_array_equal(fisher_quantized_series(*args, 3).entries, before[0])
-    np.testing.assert_array_equal(fisher_quantized_simpson(*args, nodes=21).entries, before[1])
+    for got, ref in zip(bounds(NoHessian()), bounds(GAUSSIAN_BELL)):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_simpson_validation(truth, area):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate, optimize
-from scipy.stats import norm
+from scipy.stats import norm, truncnorm
 
 from fieldest import (
     BitMapper,
@@ -226,6 +226,23 @@ def test_em_quantities_match_quadrature(m):
         # the posterior mass is 1, which is why the M-step is the analog
         # least-squares fit to A and no B is carried
         assert b_ref == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "z_k, g, sigma, eta2",
+    [((1.0, 1.0), 0.5, 0.1, 1e-4), ((0.9, 1.1), 2.0, 0.05, 5e-4)],
+)
+def test_em_quantities_far_tail_words(z_k, g, sigma, eta2):
+    """Words whose nearest codeword sits on a level of probability 0, with
+    every other bit likelihood below the float range once scaled by the
+    nearest one: the posterior still lives on [3, 6), the only level whose
+    mass times bit likelihood is representable, so A is the mean of
+    N(g, sigma^2) truncated to that cell (the quadrature oracle above
+    underflows here)."""
+    quantizer = make_uniform_quantizer(4, 0.0, 12.0)
+    a = em_quantities(np.array(z_k), quantizer, BitMapper(2), g, sigma, eta2)
+    ref = truncnorm((3.0 - g) / sigma, (6.0 - g) / sigma, loc=g, scale=sigma).mean()
+    assert a == pytest.approx(ref, abs=1e-9)
 
 
 def test_em_quantities_input_check():
