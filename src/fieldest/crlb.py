@@ -1,23 +1,21 @@
 """Fisher information and Cramer-Rao lower bounds for both channels.
 
-Analog channel: closed form I = sum_k grad G_k grad G_k^T / (sigma2_k + eta2_k).
+Sensor k's word depends on theta only through its field value g_k, so on
+either channel I = sum_k J_k grad G_k grad G_k^T: one lift of each sensor's
+Fisher information J_k about g_k.
 
-Quantized channel: I = sum_k sum_{j,i} dp_kj dp_ki^T Phi_kji, with the
-level-probability gradients dp_kj = dp_kj/dg * grad G_k (sensor k's levels
-depend on theta only through its field value g_k, so no route needs the
-field Hessian) and the per-sensor expectations
-Phi_kji = (2 pi eta^2)^(-alpha/2) * Int e_j(z) e_i(z) / x_k(z) dz over the
-alpha-dimensional received word, where e_j(z) = exp(-||z - b_j||^2/(2 eta^2))
-and x_k(z) = sum_v p_kv e_v(z).  The Fisher identity's second-derivative
-term has no place here: every level's weight integrates to 1, which leaves
-sum_j d2p_kj, the second derivative of sum_j p_kj = 1, and that is 0.  Two
-evaluation routes for Phi are provided:
+* Analog: J_k = 1/(sigma2_k + eta2_k).
+* Quantized: J_k = dp_k^T Phi_k dp_k with dp_kj = dp_kj/dg and
+  Phi_kji = (2 pi eta^2)^(-alpha/2) Int e_j(z) e_i(z) / x_k(z) dz over the
+  received word, e_j(z) = exp(-||z - b_j||^2/(2 eta^2)), x_k = sum_v p_kv e_v.
+  The truncated series expands 1/x = sum_n (1-x)^n (0 < x <= 1)
+  multinomially into closed-form Gaussian integrals (lambda_term) over weak
+  compositions and contracts Phi.  Simpson quadrature on a tensor grid over
+  [-6 eta, 1 + 6 eta] per bit axis, the accuracy oracle, integrates
+  J_k = (2 pi eta^2)^(-alpha/2) Int (sum_j dp_kj e_j)^2 / x_k dz directly.
 
-* a truncated series: 1/x = sum_n (1-x)^n converges because 0 < x <= 1;
-  expanding x^w multinomially turns every term into a Gaussian product
-  integral with the closed form lambda_term, indexed by weak compositions;
-* composite Simpson quadrature on a tensor grid over [-6 eta, 1 + 6 eta]
-  per bit axis, which serves as the accuracy oracle.
+No route needs the field Hessian: the Fisher identity's second-derivative
+term is sum_j d2p_kj, the second derivative of sum_j p_kj = 1, which is 0.
 """
 
 from __future__ import annotations
@@ -34,6 +32,9 @@ from ._quadrature import simpson_nodes_weights
 #: refuse series evaluations with more enumerated terms than this
 COMPOSITION_GUARD = 10**7
 
+#: refuse Simpson evaluations whose grid size nodes^alpha x (M + K) exceeds this
+SIMPSON_GUARD = 10**8
+
 #: condition-number ceiling beyond which the Fisher matrix counts as singular
 CONDITION_LIMIT = 1e12
 
@@ -47,7 +48,7 @@ class SingularFisherError(np.linalg.LinAlgError):
 
 
 class CompositionGuardError(ValueError):
-    """Series truncation order would enumerate an intractable term count."""
+    """A series term count or a Simpson grid beyond its guard: intractable."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +95,12 @@ def crlb_from_fisher(fisher):
     return (vecs**2) @ (1.0 / vals)
 
 
+def _fisher_from_info(info, grads, provenance):
+    """The lift I = sum_k J_k grad G_k grad G_k^T of J_k, information about g_k."""
+    entries = np.einsum("k,ks,kt->st", info, grads, grads)
+    return FisherMatrix(0.5 * (entries + entries.T), provenance)
+
+
 # ------------------------------------------------------------------ analog
 
 
@@ -102,10 +109,8 @@ def fisher_analog(net, model, params, eta2):
     if net.sigma2 is None:
         raise ValueError("network has no calibrated sigma2")
     eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
-    w = 1.0 / (net.sigma2 + eta2v)
     grads = model.gradient(params, net.x, net.y)
-    entries = np.einsum("k,ks,kt->st", w, grads, grads)
-    return FisherMatrix(0.5 * (entries + entries.T), "analog")
+    return _fisher_from_info(1.0 / (net.sigma2 + eta2v), grads, "analog")
 
 
 # ------------------------------------------- level-probability derivatives
@@ -131,6 +136,18 @@ def p_derivatives(quantizer, g, grad_g, hess_g, sigma):
         + dp_dg[0][:, None, None] * hess_g[None, :, :]
     )
     return dp, d2p
+
+
+def _quantized_inputs(net, model, params, quantizer, bm, eta2):
+    """Both quantized routes' inputs: eta2 per sensor, p and dp/dg (K x M), grad G."""
+    if quantizer.m != bm.m:
+        raise ValueError("quantizer and bit mapper disagree on the level count")
+    if net.sigma2 is None:
+        raise ValueError("network has no calibrated sigma2")
+    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
+    g = model.value(params, net.x, net.y)
+    p, dp_dg, _ = _p_derivatives_batch(quantizer, g, np.sqrt(net.sigma2))
+    return eta2v, p, dp_dg, model.gradient(params, net.x, net.y)
 
 
 # ------------------------------------------------------------------ series
@@ -210,7 +227,7 @@ def _series_coefficients(zeta):
 def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
     """Quantized-channel Fisher information by the truncated series.
 
-    I = sum_k sum_{j,i} dp_kj dp_ki Phi_kji with
+    I = sum_k sum_{j,i} dp_kj dp_ki Phi_kji with dp_kj = dp_kj/dg grad G_k and
     Phi_kji = sum over compositions ell (weight w <= zeta) of
     c_w * prod_v p_kv^{ell_v} / prod_v ell_v! * lambda_term(ell, j, i).
     The result is symmetrized before output.
@@ -218,10 +235,7 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
     zeta = int(zeta)
     if zeta < 0:
         raise ValueError("zeta must be >= 0")
-    if quantizer.m != bm.m:
-        raise ValueError("quantizer and bit mapper disagree on the level count")
-    if net.sigma2 is None:
-        raise ValueError("network has no calibrated sigma2")
+    eta2v, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
     m = bm.m
     count = series_term_count(zeta, m)
     if count >= COMPOSITION_GUARD:
@@ -229,10 +243,6 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
             f"series with zeta={zeta}, M={m} enumerates {count} terms "
             f"(guard: {COMPOSITION_GUARD})"
         )
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
-    g = model.value(params, net.x, net.y)
-    grads = model.gradient(params, net.x, net.y)
-    p, dp_dg, _ = _p_derivatives_batch(quantizer, g, np.sqrt(net.sigma2))
     dp = dp_dg[:, :, None] * grads[:, None, :]
 
     ell_all, totals = _composition_table(zeta, m)
@@ -269,6 +279,7 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
                     lam[:, j, i] = val
                     lam[:, i, j] = val
             phi += (wt.T @ lam.reshape(ell.shape[0], -1)).reshape(k_idx.size, m, m)
+        # kept in theta, not lifted from J: reordering moves near-singular bounds ~1e-7
         entries += np.einsum("kjs,kji,kit->st", dp[k_idx], phi, dp[k_idx], optimize=True)
     return FisherMatrix(0.5 * (entries + entries.T), f"series(zeta={zeta})")
 
@@ -276,13 +287,18 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
 # ---------------------------------------------------------------- Simpson
 
 
-def _check_simpson_args(bm, nodes):
+def _check_simpson_args(bm, nodes, k):
+    """Validate the node count; refuse (before computing) grids beyond SIMPSON_GUARD."""
     nodes = int(nodes)
     if nodes < 21 or nodes % 2 == 0:
         raise ValueError(f"need an odd node count >= 21, got {nodes}")
-    if bm.alpha > 4:
-        raise ValueError(
-            f"tensor-grid quadrature is guarded to alpha <= 4, got alpha={bm.alpha}"
+    size = nodes**bm.alpha * (bm.m + k)
+    if size > SIMPSON_GUARD:
+        top = int((SIMPSON_GUARD / (bm.m + k)) ** (1.0 / bm.alpha) + 1e-9)
+        top -= 1 - top % 2  # the largest odd node count within the guard
+        raise CompositionGuardError(
+            f"Simpson grid of crlb.nodes={nodes}: {nodes}^{bm.alpha} x (M + K = {bm.m + k}) "
+            f"= {size} (guard: {SIMPSON_GUARD}); crlb.nodes <= {top} passes the guard"
         )
     return nodes
 
@@ -299,7 +315,8 @@ def _grid_slabs(bm, eta2, nodes):
     bits = bm.codebook.astype(int)
     factors = [table[:, bits[:, a]] for a in range(bm.alpha)]
     if bm.alpha == 1:
-        yield factors[0], w
+        for c0 in range(0, nodes, 4096):  # bounded slabs on long 1-D grids too
+            yield factors[0][c0 : c0 + 4096], w[c0 : c0 + 4096]
         return
     e_inner = factors[-1]
     w_inner = w
@@ -310,45 +327,30 @@ def _grid_slabs(bm, eta2, nodes):
         yield factors[0][i0][None, :] * e_inner, w[i0] * w_inner
 
 
-def _phi_simpson(p_group, bm, eta2, nodes):
-    """Phi_kji for one eta2 value by tensor-grid Simpson."""
-    m = bm.m
-    kg = p_group.shape[0]
-    phi = np.zeros((kg, m, m))
+def _info_simpson(p, dp, bm, eta2, nodes):
+    """J_k for sensors sharing one eta2 value, by tensor-grid Simpson."""
+    info = np.zeros(p.shape[0])
     for e_blk, w_blk in _grid_slabs(bm, eta2, nodes):
-        x = e_blk @ p_group.T
-        y = np.divide(
-            w_blk[:, None], x, out=np.zeros_like(x), where=x > 0
-        )
-        for idx in range(kg):
-            phi[idx] += (e_blk * y[:, idx][:, None]).T @ e_blk
-    return phi * (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0)
+        x = e_blk @ p.T
+        num = e_blk @ dp.T
+        info += w_blk @ np.divide(num * num, x, out=np.zeros_like(x), where=x > 0)
+    return info * (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0)
 
 
 def fisher_quantized_simpson(net, model, params, quantizer, bm, eta2, nodes=81):
     """Quantized-channel Fisher information by alpha-dimensional composite
     Simpson quadrature (the accuracy oracle for the series route):
 
-    I = sum_k sum_{j,i} dp_kj dp_ki Phi_kji.
+    I = sum_k J_k grad G_k grad G_k^T with
+    J_k = (2 pi eta^2)^(-alpha/2) Int (sum_j dp_kj/dg e_j(z))^2 / x_k(z) dz.
     """
-    nodes = _check_simpson_args(bm, nodes)
-    if quantizer.m != bm.m:
-        raise ValueError("quantizer and bit mapper disagree on the level count")
-    if net.sigma2 is None:
-        raise ValueError("network has no calibrated sigma2")
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
-    g = model.value(params, net.x, net.y)
-    grads = model.gradient(params, net.x, net.y)
-    p, dp_dg, _ = _p_derivatives_batch(quantizer, g, np.sqrt(net.sigma2))
-    dp = dp_dg[:, :, None] * grads[:, None, :]
-
-    n_params = dp.shape[2]
-    entries = np.zeros((n_params, n_params))
+    nodes = _check_simpson_args(bm, nodes, net.k)
+    eta2v, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
+    info = np.zeros(net.k)
     for eta_val in np.unique(eta2v):
         k_idx = np.flatnonzero(eta2v == eta_val)
-        phi = _phi_simpson(p[k_idx], bm, float(eta_val), nodes)
-        entries += np.einsum("kjs,kji,kit->st", dp[k_idx], phi, dp[k_idx], optimize=True)
-    return FisherMatrix(0.5 * (entries + entries.T), f"quadrature(nodes={nodes})")
+        info[k_idx] = _info_simpson(p[k_idx], dp_dg[k_idx], bm, float(eta_val), nodes)
+    return _fisher_from_info(info, grads, f"quadrature(nodes={nodes})")
 
 
 def gamma_quadrature(quantizer, bm, g, sigma, eta2, nodes=81):
@@ -360,7 +362,7 @@ def gamma_quadrature(quantizer, bm, g, sigma, eta2, nodes=81):
     in the integrand.  Mathematically Gamma_j = 1 for every level; the
     returned M-vector measures pure quadrature error.
     """
-    nodes = _check_simpson_args(bm, nodes)
+    nodes = _check_simpson_args(bm, nodes, 1)
     if quantizer.m != bm.m:
         raise ValueError("quantizer and bit mapper disagree on the level count")
     p = level_probabilities(quantizer, float(g), float(sigma))

@@ -252,7 +252,8 @@ def _bit_distances(zmat, codebook, eta2v):
     return -np.einsum("kja,kja->kj", diff, diff) / (2.0 * eta2v[:, None])
 
 
-def _check_bits_input(z, net, quantizer, bm):
+def _check_bits_input(z, net, quantizer, bm, eta2):
+    """The received words as a (K, alpha) array and eta2 per sensor."""
     zmat = np.asarray(z.z, dtype=float)
     if zmat.ndim != 2 or zmat.shape != (net.k, bm.alpha):
         raise ValueError(f"z must be (K, alpha) = ({net.k}, {bm.alpha}), got {zmat.shape}")
@@ -260,15 +261,14 @@ def _check_bits_input(z, net, quantizer, bm):
         raise ValueError("quantizer and bit mapper disagree on the level count")
     if net.sigma2 is None:
         raise ValueError("network has no calibrated sigma2")
-    return zmat
+    return zmat, np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
 
 
 def loglik_quantized(z, net, quantizer, bm, model, params, eta2):
     """Quantized-channel log-likelihood
     sum_k log sum_j p_kj(theta) exp(-||z_k - b_j||^2/(2 eta2_k)),
     stabilized by max-subtraction; additive constants dropped."""
-    zmat = _check_bits_input(z, net, quantizer, bm)
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
+    zmat, eta2v = _check_bits_input(z, net, quantizer, bm, eta2)
     g = model.value(params, net.x, net.y)
     p = level_probabilities(quantizer, g, np.sqrt(net.sigma2))
     d = _bit_distances(zmat, bm.codebook, eta2v)
@@ -307,8 +307,7 @@ def _quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2v, theta):
 
 def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
     """Newton-Raphson ascent directly on the quantized log-likelihood."""
-    zmat = _check_bits_input(z, net, quantizer, bm)
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
+    zmat, eta2v = _check_bits_input(z, net, quantizer, bm, eta2)
 
     def value(theta):
         return loglik_quantized(z, net, quantizer, bm, model, FieldParams.from_array(theta), eta2)
@@ -356,34 +355,46 @@ def em_quantities(z_k, quantizer, bm, g_m, sigma, eta2):
     return float(a_val[0])
 
 
-def em_step(z, net, quantizer, bm, model, eta2, theta_m, cfg):
-    """One EM cycle: the E-step at theta_m, then the analog least-squares
-    fit of the field to the posterior means."""
-    zmat = _check_bits_input(z, net, quantizer, bm)
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
-    theta = theta_m.as_array()
+def _em_map(zmat, net, quantizer, bm, model, eta2v, theta, cfg, done):
+    """One EM cycle from theta: the E-step, the M-step score at theta (which
+    equals the incomplete-data score) and, unless done(score, inner_tol),
+    the analog least-squares fit of the field to the posterior means.
+    Returns (score, new theta or None, the inner solver's reason if it found
+    no ascent step at all, else None)."""
+    params = FieldParams.from_array(theta)
     w = 1.0 / net.sigma2
     tol = 1e-7 * net.k * max(1.0, float(np.mean(w)))
-    g = model.value(theta_m, net.x, net.y)
+    g = model.value(params, net.x, net.y)
     a_val = _em_quantities_batch(zmat, quantizer, bm, g, np.sqrt(net.sigma2), eta2v)
-    score = (w * (a_val - g)) @ model.gradient(theta_m, net.x, net.y)
-    if np.max(np.abs(score)) < tol:
-        return theta_m  # already a fixed point
+    score = (w * (a_val - g)) @ model.gradient(params, net.x, net.y)
+    if done(score, tol):
+        return score, None, None
     trace, _, _, reason = _wls_ascent(
         a_val, w, net, model, theta, cfg, tol, cfg.max_inner, stall_limit=1
     )
-    new_theta = trace[-1]
-    if reason is not None and reason not in ("stalled", "max_iterations") and np.array_equal(new_theta, theta):
-        raise EstimationError(f"inner solver failed: {reason}")
+    stuck = reason not in (None, "stalled", "max_iterations") and np.array_equal(trace[-1], theta)
+    return score, trace[-1], (reason if stuck else None)
+
+
+def em_step(z, net, quantizer, bm, model, eta2, theta_m, cfg):
+    """One EM cycle: the E-step at theta_m, then the analog least-squares
+    fit of the field to the posterior means."""
+    zmat, eta2v = _check_bits_input(z, net, quantizer, bm, eta2)
+    _, new_theta, failure = _em_map(
+        zmat, net, quantizer, bm, model, eta2v, theta_m.as_array(), cfg,
+        lambda score, tol: np.max(np.abs(score)) < tol,
+    )
+    if new_theta is None:
+        return theta_m  # already a fixed point
+    if failure is not None:
+        raise EstimationError(f"inner solver failed: {failure}")
     return FieldParams.from_array(new_theta)
 
 
 def em_estimate(z, net, quantizer, bm, model, eta2, init, cfg):
     """Full EM run; the trace records the quantized log-likelihood, which is
     non-decreasing along EM iterates up to roundoff."""
-    zmat = _check_bits_input(z, net, quantizer, bm)
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
-    sigma = np.sqrt(net.sigma2)
+    zmat, eta2v = _check_bits_input(z, net, quantizer, bm, eta2)
     theta = init.as_array().copy()
     if not _theta_ok(theta):
         raise ValueError(f"invalid initial parameters {theta}")
@@ -393,36 +404,25 @@ def em_estimate(z, net, quantizer, bm, model, eta2, init, cfg):
             z, net, quantizer, bm, model, FieldParams.from_array(theta_arr), eta2
         )
 
-    w = 1.0 / net.sigma2
-    inner_tol = 1e-7 * net.k * max(1.0, float(np.mean(w)))
     trace = [theta.copy()]
     values = [loglik(theta)]
     converged = False
-    reason = None
     prev_step = None
     stalls = 0
     score_tol = 1e-5 * net.k
+
+    def done(score, _inner_tol):
+        return (prev_step is None or prev_step <= cfg.tol) and np.max(np.abs(score)) < score_tol
+
     for _ in range(cfg.max_outer):
-        params = FieldParams.from_array(theta)
-        g = model.value(params, net.x, net.y)
-        a_val = _em_quantities_batch(zmat, quantizer, bm, g, sigma, eta2v)
-        # the M-step score at theta, which equals the incomplete-data score
-        score = (w * (a_val - g)) @ model.gradient(params, net.x, net.y)
-        if (prev_step is None or prev_step <= cfg.tol) and np.max(np.abs(score)) < score_tol:
-            converged = True
-            break
-        inner_trace, _, _, inner_reason = _wls_ascent(
-            a_val, w, net, model, theta, cfg, inner_tol, cfg.max_inner, stall_limit=1
+        score, new_theta, failure = _em_map(
+            zmat, net, quantizer, bm, model, eta2v, theta, cfg, done
         )
-        new_theta = inner_trace[-1]
-        if inner_reason not in (None, "stalled", "max_iterations") and np.array_equal(
-            new_theta, theta
-        ):
-            # the surrogate admits no ascent step at all from here
-            if np.max(np.abs(score)) < score_tol:
-                converged = True  # stationary point: nothing left to gain
-            else:
-                reason = f"inner:{inner_reason}"
+        if new_theta is None or failure is not None:
+            # done, or the surrogate admits no ascent step at all from here,
+            # which is a stationary point when the score is small
+            converged = new_theta is None or np.max(np.abs(score)) < score_tol
+            reason = f"inner:{failure}"  # reported only when not converged
             break
         # a partially maximized surrogate is still a valid step (the ascent
         # property only needs improvement), so keep iterating on progress
@@ -430,13 +430,10 @@ def em_estimate(z, net, quantizer, bm, model, eta2, init, cfg):
         theta = new_theta
         trace.append(theta.copy())
         values.append(loglik(theta))
-        if prev_step <= cfg.tol:
-            stalls += 1
-            if stalls >= 3 and np.max(np.abs(score)) >= score_tol:
-                reason = "stalled"
-                break
-        else:
-            stalls = 0
+        stalls = stalls + 1 if prev_step <= cfg.tol else 0
+        if stalls >= 3 and np.max(np.abs(score)) >= score_tol:
+            reason = "stalled"
+            break
     else:
         reason = "max_iterations"
     return _pack_result(trace, values, converged, None if converged else reason)

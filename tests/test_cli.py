@@ -157,10 +157,11 @@ def test_crlb_singular_fisher_exit_code(tmp_path, capsys):
 
 
 def test_crlb_composition_guard_exit_code(tmp_path, capsys):
-    text = QUANTIZED_CFG.replace("channel.m = 4", "channel.m = 8")
-    cfg = _cfg_file(tmp_path, text)
-    assert main(["crlb", "--config", cfg, "--zeta", "40"]) == 2
-    assert "(guard: " in capsys.readouterr().err
+    # an intractable series order, then an intractable Simpson grid
+    for m, flags in (("8", ["--zeta", "40"]), ("16", ["--zeta", "0", "--nodes", "81"])):
+        cfg = _cfg_file(tmp_path, QUANTIZED_CFG.replace("channel.m = 4", f"channel.m = {m}"))
+        assert main(["crlb", "--config", cfg, *flags]) == 2
+        assert "(guard: " in capsys.readouterr().err
 
 
 def test_crlb_calibrates_once(tmp_path, capsys, calibration_calls):

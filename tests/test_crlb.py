@@ -1,11 +1,13 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import fieldest.crlb as crlb_mod
 from fieldest import (
     BitMapper,
     CompositionGuardError,
@@ -416,6 +418,71 @@ def test_quantized_routes_ignore_second_derivatives(truth, area):
 
     for got, ref in zip(bounds(NoHessian()), bounds(GAUSSIAN_BELL)):
         np.testing.assert_array_equal(got, ref)
+
+
+def test_simpson_guard_refuses_large_grids_up_front(truth, area, monkeypatch):
+    """nodes^alpha x (M + K) beyond SIMPSON_GUARD is refused before any grid
+    slab is built, naming crlb.nodes and the largest node count that passes."""
+
+    def no_grid(*args):
+        raise AssertionError("the refused grid was computed")
+
+    monkeypatch.setattr(crlb_mod, "_grid_slabs", no_grid)
+    net = make_network(40, area, 0.3937, seed=5)
+    quantizer = make_uniform_quantizer(16, 0.0, 12.0)
+    with pytest.raises(CompositionGuardError, match=r"crlb\.nodes <= 35 passes") as exc:
+        fisher_quantized_simpson(net, GAUSSIAN_BELL, truth, quantizer, BitMapper(4), 0.4)
+    assert "crlb.nodes=81" in str(exc.value)
+    # the named count is the largest odd one within the guard
+    for alpha, k in ((4, 40), (3, 100), (2, 7), (1, 10), (5, 1)):
+        bm = BitMapper(alpha)
+        with pytest.raises(CompositionGuardError) as exc:
+            crlb_mod._check_simpson_args(bm, 10**9 + 1, k)
+        top = int(re.search(r"crlb\.nodes <= (\d+)", str(exc.value)).group(1))
+        assert top % 2 == 1
+        assert top**alpha * (bm.m + k) <= crlb_mod.SIMPSON_GUARD
+        assert (top + 2) ** alpha * (bm.m + k) > crlb_mod.SIMPSON_GUARD
+    # the benchmark's and the demos' grids pass
+    for alpha, nodes, k in ((3, 81, 100), (4, 21, 40), (1, 81, 10), (2, 81, 40)):
+        crlb_mod._check_simpson_args(BitMapper(alpha), nodes, k)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_quantized_information_never_exceeds_the_reading(truth, area, alpha):
+    """Data processing: quantizing a reading and sending it over a noisy
+    channel cannot add information, so each route's matrix stays below the
+    noise-free analog one, sum_k grad G_k grad G_k^T / sigma2_k."""
+    quantizer = make_uniform_quantizer(2**alpha, 0.0, 12.0)
+    bm = BitMapper(alpha)
+    for seed in (3, 8, 13):
+        net = make_network(12, area, 0.3937, seed=seed)
+        ceiling = fisher_analog(net, GAUSSIAN_BELL, truth, 0.0).entries
+        scale = np.abs(ceiling).max()
+        for eta2 in (0.05, 0.5):
+            args = (net, GAUSSIAN_BELL, truth, quantizer, bm, eta2)
+            for fisher in (
+                fisher_quantized_simpson(*args, nodes=21 if alpha == 3 else 81),
+                fisher_quantized_series(*args, 4),
+            ):
+                gap = ceiling - fisher.entries
+                assert np.linalg.eigvalsh(gap).min() >= -1e-10 * scale, fisher.provenance
+
+
+def test_simpson_single_sensor_is_a_rank_one_lift(truth, area):
+    """With one sensor the Simpson matrix is J grad G grad G^T, and the
+    sensor's information J about its field value lies in [0, 1/sigma2]."""
+    quantizer = make_uniform_quantizer(4, 0.0, 12.0)
+    for seed in (1, 2, 3):
+        net = make_network(1, area, 0.3937, seed=seed)
+        grad = GAUSSIAN_BELL.gradient(truth, net.x, net.y)[0]
+        entries = fisher_quantized_simpson(
+            net, GAUSSIAN_BELL, truth, quantizer, BitMapper(2), 0.3
+        ).entries
+        info = float(grad @ entries @ grad) / float(grad @ grad) ** 2
+        assert 0.0 <= info <= 1.0 / 0.3937
+        np.testing.assert_allclose(
+            entries, info * np.outer(grad, grad), rtol=0, atol=1e-12 * np.abs(entries).max()
+        )
 
 
 def test_simpson_validation(truth, area):
