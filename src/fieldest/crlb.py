@@ -10,8 +10,11 @@ Fisher information J_k about g_k.
   received word, e_j(z) = exp(-||z - b_j||^2/(2 eta^2)), x_k = sum_v p_kv e_v.
   The truncated series expands 1/x = sum_n (1-x)^n (0 < x <= 1)
   multinomially into closed-form Gaussian integrals (lambda_term) over weak
-  compositions and contracts Phi.  Simpson quadrature on a tensor grid over
-  [-6 eta, 1 + 6 eta] per bit axis, the accuracy oracle, integrates
+  compositions ell.  lambda_term depends on ell only through its lattice
+  point (w, n) = (|ell|, ell B), B the 0/1 codebook, so Phi is a sum over
+  lattice points of grouped composition weights times lambda(w, n, j, i).
+  Simpson quadrature on a tensor grid over [-6 eta, 1 + 6 eta] per bit
+  axis, the accuracy oracle, integrates
   J_k = (2 pi eta^2)^(-alpha/2) Int (sum_j dp_kj e_j)^2 / x_k dz directly.
 
 No route needs the field Hessian: the Fisher identity's second-derivative
@@ -155,24 +158,38 @@ def _quantized_inputs(net, model, params, quantizer, bm, eta2):
 
 def compositions(total, parts):
     """All weak compositions of `total` into `parts` nonnegative integers,
-    yielded exactly once each in lexicographic order."""
+    yielded exactly once each in lexicographic order: the rows of
+    _composition_table(total, parts) whose total is `total`."""
     total = int(total)
     parts = int(parts)
     if total < 0 or parts < 1:
         raise ValueError("need total >= 0 and parts >= 1")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    table, totals = _composition_table(total, parts)
+    for row in table[totals == total]:
+        yield tuple(int(v) for v in row)
 
 
 def series_term_count(zeta, m):
-    """Total number of series terms enumerated up to truncation order zeta:
-    sum over n <= zeta, m' <= n of the compositions of n - m' into M parts,
-    which telescopes to C(zeta + M + 1, M + 1)."""
+    """The series guard's size measure: sum over n <= zeta, m' <= n of the
+    compositions of n - m' into M parts, which telescopes to
+    C(zeta + M + 1, M + 1).  It counts the terms of the expansion, not the
+    route's cost, which goes with the compositions of weight <= zeta and the
+    lattice points they share."""
     return math.comb(zeta + m + 1, m + 1)
+
+
+def _check_series_args(zeta, m):
+    """Validate the order; refuse (before computing) term counts beyond COMPOSITION_GUARD."""
+    zeta = int(zeta)
+    if zeta < 0:
+        raise ValueError("zeta must be >= 0")
+    count = series_term_count(zeta, m)
+    if count >= COMPOSITION_GUARD:
+        raise CompositionGuardError(
+            f"series with zeta={zeta}, M={m} enumerates {count} terms "
+            f"(guard: {COMPOSITION_GUARD})"
+        )
+    return zeta
 
 
 def lambda_term(ell, j, i, bm, eta2):
@@ -203,16 +220,31 @@ def lambda_term(ell, j, i, bm, eta2):
 
 
 def _composition_table(zeta, m):
-    """(C, M) int16 matrix of all compositions with total <= zeta, stacked by
-    total in increasing order (lexicographic within each total), plus the
-    (C,) vector of totals."""
-    blocks = []
-    totals = []
+    """(C, M) integer matrix of all weak compositions with total <= zeta,
+    stacked by total in increasing order (lexicographic within each total),
+    plus the (C,) vector of totals."""
+    dtype = np.int16 if zeta < 2**15 else np.int64
+    # the first M - 1 parts with total <= zeta, in lexicographic order: each
+    # row is followed by every value its remaining total leaves for the next part
+    head = np.zeros((1, 0), dtype=dtype)
+    sums = np.zeros(1, dtype=np.int64)
+    for _ in range(m - 1):
+        counts = zeta + 1 - sums
+        nxt = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        head = np.column_stack([np.repeat(head, counts, axis=0), nxt.astype(dtype)])
+        sums = np.repeat(sums, counts) + nxt
+    # the last part is what the total leaves, so the head's order is lexicographic
+    table = np.empty((math.comb(zeta + m, m), m), dtype=dtype)
+    totals = np.empty(table.shape[0], dtype=dtype)
+    r0 = 0
     for w in range(zeta + 1):
-        block = np.array(list(compositions(w, m)), dtype=np.int16).reshape(-1, m)
-        blocks.append(block)
-        totals.append(np.full(block.shape[0], w, dtype=np.int16))
-    return np.concatenate(blocks, axis=0), np.concatenate(totals)
+        fits = np.flatnonzero(sums <= w)
+        rows = slice(r0, r0 + fits.size)
+        table[rows, :-1] = head[fits]
+        table[rows, -1] = w - sums[fits]
+        totals[rows] = w
+        r0 += fits.size
+    return table, totals
 
 
 def _series_coefficients(zeta):
@@ -224,30 +256,48 @@ def _series_coefficients(zeta):
     return coef
 
 
+def _lattice_points(ell_all, totals, book, zeta):
+    """Number the lattice points (w, n) = (|ell|, ell B) of the compositions
+    in order of first occurrence in the table.  Returns the table's row
+    order grouped by point, in table order within each point (C,), the point
+    index of each row in that order (C,), and the points' w (G,) and
+    n (G, alpha)."""
+    radix = (zeta + 1) ** np.arange(book.shape[1] + 1, dtype=np.int64)
+    # int64 throughout: the table is int16, and the key exceeds its range
+    key = totals.astype(np.int64) * radix[-1]
+    for v, digits in enumerate(book.astype(np.int64) @ radix[:-1]):
+        # column by column: no int64 copy of the table
+        key += ell_all[:, v].astype(np.int64) * digits
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    point_of = np.argsort(np.argsort(first))[inverse]
+    order = np.argsort(point_of, kind="stable")
+    points = key[np.sort(first)]
+    point_n = points[:, None] // radix[:-1] % (zeta + 1)
+    return order, point_of[order], points // radix[-1], point_n
+
+
 def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
     """Quantized-channel Fisher information by the truncated series.
 
     I = sum_k sum_{j,i} dp_kj dp_ki Phi_kji with dp_kj = dp_kj/dg grad G_k and
     Phi_kji = sum over compositions ell (weight w <= zeta) of
     c_w * prod_v p_kv^{ell_v} / prod_v ell_v! * lambda_term(ell, j, i).
-    The result is symmetrized before output.
+    lambda_term depends on ell only through its lattice point (w, n = ell B),
+    so Phi_kji = sum over lattice points of W_k(w, n) * lambda(w, n, j, i),
+    where W_k(w, n) is c_w times the sum of the weights of the compositions
+    at (w, n).  The result is symmetrized before output.
     """
-    zeta = int(zeta)
-    if zeta < 0:
-        raise ValueError("zeta must be >= 0")
-    eta2v, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
     m = bm.m
-    count = series_term_count(zeta, m)
-    if count >= COMPOSITION_GUARD:
-        raise CompositionGuardError(
-            f"series with zeta={zeta}, M={m} enumerates {count} terms "
-            f"(guard: {COMPOSITION_GUARD})"
-        )
+    zeta = _check_series_args(zeta, m)
+    eta2v, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
     dp = dp_dg[:, :, None] * grads[:, None, :]
 
-    ell_all, totals = _composition_table(zeta, m)
-    coef = _series_coefficients(zeta)[totals]
     book = bm.codebook
+    ell_all, totals = _composition_table(zeta, m)
+    order, point_of, point_w, point_n = _lattice_points(ell_all, totals, book, zeta)
+    n_points = point_w.size
+    coef = _series_coefficients(zeta)[point_w]
+    log_fact = gammaln(np.arange(zeta + 1) + 1.0)
     norms = np.einsum("va,va->v", book, book)
     with np.errstate(divide="ignore"):
         logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), -1e9)
@@ -257,15 +307,22 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
     chunk = 16384
     for eta_val in np.unique(eta2v):
         k_idx = np.flatnonzero(eta2v == eta_val)
+        weights = np.zeros((n_points, k_idx.size))
+        for c0 in range(0, order.size, chunk):
+            # rows grouped by point, so each point's weights add in table order
+            rows = ell_all[order[c0 : c0 + chunk]]
+            ids = point_of[c0 : c0 + chunk]
+            log_wt = rows.astype(float) @ logp[k_idx].T - log_fact[rows].sum(axis=1)[:, None]
+            starts = np.flatnonzero(np.diff(ids, prepend=-1))
+            weights[ids[starts]] += np.add.reduceat(np.exp(log_wt), starts, axis=0)
+        weights *= coef[:, None]
+
         phi = np.zeros((k_idx.size, m, m))
-        for c0 in range(0, ell_all.shape[0], chunk):
-            ell = ell_all[c0 : c0 + chunk].astype(float)
-            cvec = ell.sum(axis=1) + 2.0
-            base_m = ell @ book
-            base_s = ell @ norms
-            log_wt = ell @ logp[k_idx].T - gammaln(ell + 1.0).sum(axis=1)[:, None]
-            wt = np.exp(log_wt) * coef[c0 : c0 + chunk, None]
-            lam = np.empty((ell.shape[0], m, m))
+        for c0 in range(0, n_points, chunk):
+            cvec = point_w[c0 : c0 + chunk] + 2.0
+            base_m = point_n[c0 : c0 + chunk].astype(float)
+            base_s = base_m.sum(axis=1)  # n . 1 = ell . ||b_v||^2 for 0/1 codewords
+            lam = np.empty((cvec.size, m, m))
             pref = cvec ** (-bm.alpha / 2.0)
             for j in range(m):
                 mj = base_m + book[j]
@@ -278,7 +335,9 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
                     )
                     lam[:, j, i] = val
                     lam[:, i, j] = val
-            phi += (wt.T @ lam.reshape(ell.shape[0], -1)).reshape(k_idx.size, m, m)
+            phi += (weights[c0 : c0 + chunk].T @ lam.reshape(cvec.size, -1)).reshape(
+                k_idx.size, m, m
+            )
         # kept in theta, not lifted from J: reordering moves near-singular bounds ~1e-7
         entries += np.einsum("kjs,kji,kit->st", dp[k_idx], phi, dp[k_idx], optimize=True)
     return FisherMatrix(0.5 * (entries + entries.T), f"series(zeta={zeta})")
@@ -301,6 +360,17 @@ def _check_simpson_args(bm, nodes, k):
             f"= {size} (guard: {SIMPSON_GUARD}); crlb.nodes <= {top} passes the guard"
         )
     return nodes
+
+
+def _check_quantized_routes(methods, bm, zeta, nodes, k):
+    """Run the guards of the requested quantized routes ("series", "simpson")
+    in order, so a refusal comes before any route computes."""
+    guards = {
+        "series": lambda: _check_series_args(zeta, bm.m),
+        "simpson": lambda: _check_simpson_args(bm, nodes, k),
+    }
+    for method in methods:
+        guards[method]()
 
 
 def _grid_slabs(bm, eta2, nodes):

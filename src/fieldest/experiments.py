@@ -33,6 +33,7 @@ from .channel import BitMapper, amplify_forward, make_uniform_quantizer, quantiz
 from .crlb import (
     CompositionGuardError,
     SingularFisherError,
+    _check_quantized_routes,
     crlb_from_fisher,
     fisher_analog,
     fisher_quantized_series,
@@ -430,13 +431,15 @@ def _cell_bounds(cfg, cell, data_cell_id, calib, methods):
     """CRLB diagonals keyed by provenance, on the trial-0 network so the bound
     refers to the geometry the first trial saw.  The analog channel has one
     closed form; a quantized cell gets one route per entry of ``methods``.
-    Refusals raise."""
+    Refusals raise, every route's guard before any route computes."""
     sigma2, eta2 = calib
     net = _deploy(cfg, cell, data_cell_id, 0, sigma2)
     if cfg.channel == "analog":
         fishers = [fisher_analog(net, GAUSSIAN_BELL, cfg.truth, eta2)]
     else:
-        args = (net, GAUSSIAN_BELL, cfg.truth, *_quantizer(cfg, cell), eta2)
+        quantizer, bm = _quantizer(cfg, cell)
+        _check_quantized_routes(methods, bm, cfg.crlb_zeta, cfg.crlb_nodes, net.k)
+        args = (net, GAUSSIAN_BELL, cfg.truth, quantizer, bm, eta2)
         routes = {
             "series": lambda: fisher_quantized_series(*args, zeta=cfg.crlb_zeta),
             "simpson": lambda: fisher_quantized_simpson(*args, nodes=cfg.crlb_nodes),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fieldest import cli, estimators
+from fieldest import cli, estimators, experiments
 from fieldest.cli import build_parser, main
 
 ANALOG_CFG = """
@@ -162,6 +162,17 @@ def test_crlb_composition_guard_exit_code(tmp_path, capsys):
         cfg = _cfg_file(tmp_path, QUANTIZED_CFG.replace("channel.m = 4", f"channel.m = {m}"))
         assert main(["crlb", "--config", cfg, *flags]) == 2
         assert "(guard: " in capsys.readouterr().err
+
+
+def test_crlb_refuses_before_computing_any_route(tmp_path, capsys, monkeypatch):
+    # the series order passes its guard, the Simpson grid does not: no route runs
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series bound was computed for a refused cell")
+
+    monkeypatch.setattr(experiments, "fisher_quantized_series", no_series)
+    cfg = _cfg_file(tmp_path, QUANTIZED_CFG.replace("channel.m = 4", "channel.m = 16"))
+    assert main(["crlb", "--config", cfg, "--zeta", "6", "--nodes", "81"]) == 2
+    assert "crlb.nodes <= " in capsys.readouterr().err
 
 
 def test_crlb_calibrates_once(tmp_path, capsys, calibration_calls):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,10 +83,12 @@ def test_fisher_analog_mc_agreement(truth, area):
 
 
 def _compositions_brute(total, parts):
+    """Every placement of parts - 1 bars among total + parts - 1 slots (stars
+    and bars), read off as the gaps between the bars."""
+    slots = total + parts - 1
     return [
-        c
-        for c in itertools.product(range(total + 1), repeat=parts)
-        if sum(c) == total
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+        for bars in itertools.combinations(range(slots), parts - 1)
     ]
 
 
@@ -114,6 +117,35 @@ def test_series_term_count_counts_the_enumeration(zeta, m_exp):
         len(list(compositions(n - w, m))) for n in range(zeta + 1) for w in range(n + 1)
     )
     assert series_term_count(zeta, m) == brute
+
+
+@pytest.mark.parametrize(
+    "zeta,m", [(z, m) for z in (0, 3, 6) for m in (1, 2, 4, 8)] + [(6, 16)]
+)
+def test_composition_table_is_the_enumeration_stacked_by_total(zeta, m):
+    table, totals = crlb_mod._composition_table(zeta, m)
+    brute = [c for w in range(zeta + 1) for c in sorted(_compositions_brute(w, m))]
+    assert [tuple(int(v) for v in row) for row in table] == brute
+    np.testing.assert_array_equal(totals, table.sum(axis=1))
+
+
+@pytest.mark.parametrize("zeta,m", [(6, 16), (181, 2), (32, 4), (13, 8), (8, 16)])
+def test_lattice_points_decode_every_composition(zeta, m):
+    """Each row's point decodes to its own (|ell|, ell B).  All but the
+    benchmark's (6, 16) are the smallest orders whose mixed-radix key
+    exceeds the int16 range of the table.  Rows come grouped
+    by point, in table order within a point, points in first-occurrence order."""
+    table, totals = crlb_mod._composition_table(zeta, m)
+    book = BitMapper(m.bit_length() - 1).codebook
+    order, point_of, point_w, point_n = crlb_mod._lattice_points(table, totals, book, zeta)
+    np.testing.assert_array_equal(np.sort(order), np.arange(table.shape[0]))
+    np.testing.assert_array_equal(point_w[point_of], totals[order])
+    np.testing.assert_array_equal(point_n[point_of], table[order].astype(float) @ book)
+    assert len(set(zip(point_w.tolist(), map(tuple, point_n.tolist())))) == point_w.size
+    starts = np.flatnonzero(np.diff(point_of, prepend=-1))
+    np.testing.assert_array_equal(point_of[starts], np.arange(point_w.size))
+    assert np.all(np.diff(order[starts]) > 0)
+    assert np.all(np.diff(order)[np.diff(point_of) == 0] > 0)
 
 
 # ------------------------------------------------------------ lambda term
@@ -297,6 +329,49 @@ def test_series_equals_truncated_integrand(truth, area):
         ref = _fisher_truncated_integrand_oracle(net, quantizer, bm, eta2, zeta, truth)
         scale = max(np.abs(ref).max(), 1e-12)
         assert np.abs(got.entries - ref).max() / scale < 1e-7
+
+
+@pytest.mark.parametrize("zeta,m", [(4, 2), (3, 4), (2, 8), (2, 16)])
+def test_series_matches_its_sum_over_compositions(truth, area, zeta, m):
+    """The route groups compositions by lattice point (|ell|, ell B); it must
+    equal Phi summed composition by composition from lambda_term and the
+    docstring's weights c_w prod_v p_v^ell_v / ell_v!."""
+    net = make_network(6, area, 0.3937, seed=23)
+    quantizer = make_uniform_quantizer(m, 0.0, 12.0)
+    bm = BitMapper(m.bit_length() - 1)
+    eta2 = 0.5468
+    got = fisher_quantized_series(net, GAUSSIAN_BELL, truth, quantizer, bm, eta2, zeta)
+    g = GAUSSIAN_BELL.value(truth, net.x, net.y)
+    grads = GAUSSIAN_BELL.gradient(truth, net.x, net.y)
+    sigma = np.sqrt(net.sigma2)
+    p = level_probabilities(quantizer, g, sigma)
+    levels = range(1, bm.m + 1)
+    phi = np.zeros((net.k, bm.m, bm.m))
+    for w in range(zeta + 1):
+        c_w = (-1) ** w * sum(math.perm(n, w) for n in range(w, zeta + 1))
+        for ell in _compositions_brute(w, bm.m):
+            lam = np.array([[lambda_term(ell, j, i, bm, eta2) for i in levels] for j in levels])
+            wt = c_w * np.prod(p ** np.array(ell), axis=1) / math.prod(map(math.factorial, ell))
+            phi += wt[:, None, None] * lam
+    entries = np.zeros((5, 5))
+    for k in range(net.k):
+        dpk, _ = p_derivatives(quantizer, g[k], grads[k], np.zeros((5, 5)), sigma[k])
+        entries += dpk.T @ phi[k] @ dpk
+    np.testing.assert_allclose(got.entries, entries, rtol=1e-12, atol=0)
+
+
+def test_series_memory_stays_chunked(truth, area):
+    """One K=40, M=16, zeta=6 bound sums its 74,613 composition weights in
+    bounded chunks; summing them in one block peaks above 48 MiB."""
+    net = make_network(40, area, 0.3937, seed=5)
+    quantizer = make_uniform_quantizer(16, 0.0, 12.0)
+    tracemalloc.start()
+    try:
+        fisher_quantized_series(net, GAUSSIAN_BELL, truth, quantizer, BitMapper(4), 0.5468, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_series_undershoots_and_improves_with_zeta(truth, area):
