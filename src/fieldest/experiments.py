@@ -44,6 +44,7 @@ from .estimators import (
     SolverConfig,
     em_estimate,
     newton_ml_analog,
+    newton_ml_analog_batch,
     nr_estimate_quantized,
 )
 from .field import GAUSSIAN_BELL, PARAM_NAMES, Area, FieldParams
@@ -359,18 +360,20 @@ def _deploy(cfg, cell, data_cell_id, trial, sigma2):
     return net.with_sigma2(np.full(cell.k, sigma2))
 
 
-def _run_cell_trial(cfg, cell, data_cell_id, trial, calib):
-    model = GAUSSIAN_BELL
+def _trial_inputs(cfg, cell, data_cell_id, trial, calib):
+    """One trial's network, received data and initial point, plus the
+    record constructor that carries the trial's identity."""
     sigma2, eta2 = calib
     net = _deploy(cfg, cell, data_cell_id, trial, sigma2)
     digest = hashlib.sha256(net.positions.tobytes()).hexdigest()[:16]
-    obs = sample_observations(net, model, cfg.truth, _stage_seed(cfg, data_cell_id, trial, 1))
+    obs = sample_observations(
+        net, GAUSSIAN_BELL, cfg.truth, _stage_seed(cfg, data_cell_id, trial, 1)
+    )
     channel_seed = _stage_seed(cfg, data_cell_id, trial, 2)
     if cfg.channel == "analog":
         z = amplify_forward(obs, eta2, channel_seed)
     else:
-        quantizer, bm = _quantizer(cfg, cell)
-        z = quantize_forward(obs, quantizer, bm, eta2, channel_seed)
+        z = quantize_forward(obs, *_quantizer(cfg, cell), eta2, channel_seed)
     if cfg.init_policy == "fixed":
         init = cfg.init_theta
     else:
@@ -378,17 +381,51 @@ def _run_cell_trial(cfg, cell, data_cell_id, trial, calib):
             cell.region, cfg.truth, _stage_seed(cfg, data_cell_id, trial, 3 + cell.region)
         )
     record = partial(TrialRecord, trial, _trial_seed_value(cfg, data_cell_id, trial), digest, init)
+    return net, z, init, record
+
+
+_ESTIMATOR_ERRORS = (EstimationError, np.linalg.LinAlgError, OverflowError, FloatingPointError)
+
+
+def _attempt(estimator, *args):
+    """The estimator's result, or the error it raised."""
     try:
-        if cfg.channel == "analog":
-            result = newton_ml_analog(z, net, model, eta2, init, cfg.solver)
-        elif cfg.estimator == "em":
-            result = em_estimate(z, net, quantizer, bm, model, eta2, init, cfg.solver)
+        return estimator(*args)
+    except _ESTIMATOR_ERRORS as exc:
+        return exc
+
+
+def _run_trials(cfg, cell, data_cell_id, calib, trials):
+    """Records of a contiguous range of one cell's trials, in trial order.
+    Analog trials are estimated as one batch, quantized ones one by one; an
+    estimate that raises is recorded with its error, never raised."""
+    inputs = [_trial_inputs(cfg, cell, data_cell_id, t, calib) for t in trials]
+    eta2 = calib[1]
+    if cfg.channel == "analog":
+        nets, zs, inits, _ = zip(*inputs)
+        results = _attempt(newton_ml_analog_batch, zs, nets, GAUSSIAN_BELL, eta2, inits, cfg.solver)
+        if isinstance(results, Exception):
+            # some trial raised: run each alone, which gives the same
+            # estimates, to record which one
+            results = [
+                _attempt(newton_ml_analog, z, net, GAUSSIAN_BELL, eta2, init, cfg.solver)
+                for net, z, init, _ in inputs
+            ]
+    else:
+        quantizer, bm = _quantizer(cfg, cell)
+        estimator = em_estimate if cfg.estimator == "em" else nr_estimate_quantized
+        results = [
+            _attempt(estimator, z, net, quantizer, bm, GAUSSIAN_BELL, eta2, init, cfg.solver)
+            for net, z, init, _ in inputs
+        ]
+    records = []
+    for (*_, record), result in zip(inputs, results):
+        if isinstance(result, Exception):
+            records.append(record(None, None, False, f"{type(result).__name__}: {result}"))
         else:
-            result = nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg.solver)
-    except (EstimationError, np.linalg.LinAlgError, OverflowError, FloatingPointError) as exc:
-        return record(None, None, False, f"{type(exc).__name__}: {exc}")
-    se = squared_error(result.theta_hat, cfg.truth)
-    return record(result, se, result.converged, result.divergence_reason)
+            se = squared_error(result.theta_hat, cfg.truth)
+            records.append(record(result, se, result.converged, result.divergence_reason))
+    return records
 
 
 def run_trial(cfg, trial):
@@ -403,20 +440,28 @@ def run_trial(cfg, trial):
             f"run_trial needs a single-cell configuration, this one has {len(cells)} cells"
         )
     calib = _cell_calibration(cfg, cells[0])
-    return _run_cell_trial(cfg, cells[0], ids[0], int(trial), calib)
+    return _run_trials(cfg, cells[0], ids[0], calib, [int(trial)])[0]
 
 
-def _trial_star(args):
-    return _run_cell_trial(*args)
+# Trial-sensor pairs per estimator batch: bounds the (T, K, 5, 5) Hessian
+# stack of an analog batch to about 6.5 MB.
+_BATCH_POINTS = 2**15
+
+
+def _trial_chunks(cfg, k):
+    """Contiguous trial ranges, each run as one batch: every trial at once in
+    a single process, or about four ranges per worker in a pool."""
+    size = cfg.trials if cfg.workers == 1 else max(1, cfg.trials // (4 * cfg.workers))
+    size = min(size, max(1, _BATCH_POINTS // k))
+    return [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
 
 
 def _cell_trials(cfg, cell, data_cell_id, calib, executor):
     """All trial records for one calibrated cell, in trial order."""
-    args = [(cfg, cell, data_cell_id, t, calib) for t in range(cfg.trials)]
-    if executor is None:
-        return [_run_cell_trial(*a) for a in args]
-    chunk = max(1, cfg.trials // (4 * cfg.workers))
-    return list(executor.map(_trial_star, args, chunksize=chunk))
+    run = partial(_run_trials, cfg, cell, data_cell_id, calib)
+    chunks = _trial_chunks(cfg, cell.k)
+    batches = map(run, chunks) if executor is None else executor.map(run, chunks)
+    return [record for batch in batches for record in batch]
 
 
 def run_cell_trials(cfg, cell, data_cell_id):

@@ -7,7 +7,10 @@ The reference model is a Gaussian bell
 with parameter vector theta = [h, rho_x, rho_y, x_c, y_c]: peak amplitude,
 spreads along the two axes, and peak location.  Any object exposing the same
 ``value`` / ``gradient`` / ``hessian`` methods can stand in for
-:class:`GaussianBellModel` throughout the package.
+:class:`GaussianBellModel` throughout the package.  The params passed to them
+may carry a leading trial axis: ``FieldParams.from_array`` of a ``(T, 5)``
+stack gives params whose five fields are ``(T, 1)`` columns, which broadcast
+against ``(T, K)`` points, so one call evaluates T trials' fields at once.
 """
 
 from __future__ import annotations
@@ -20,11 +23,17 @@ from ._quadrature import simpson_2d
 
 N_PARAMS = 5
 PARAM_NAMES = ("h", "rho_x", "rho_y", "x_c", "y_c")
+# (row, column) indices of the strict lower triangle of a parameter Hessian
+_LOWER = np.tril_indices(N_PARAMS, -1)
 
 
 @dataclass(frozen=True)
 class FieldParams:
-    """Field parameter vector; the spreads must be strictly positive."""
+    """Field parameter vector; the spreads must be strictly positive.
+
+    The fields are floats, or ``(T, 1)`` columns for a stack of T parameter
+    vectors (see ``from_array``); every row's spreads are checked.
+    """
 
     h: float
     rho_x: float
@@ -33,7 +42,10 @@ class FieldParams:
     y_c: float
 
     def __post_init__(self):
-        if not (self.rho_x > 0 and self.rho_y > 0):
+        rx, ry = self.rho_x, self.rho_y
+        if isinstance(rx, np.ndarray):  # (T, 1) columns: check every row
+            rx = ry = np.minimum(rx, ry).min()
+        if not (rx > 0 and ry > 0):
             raise ValueError(
                 f"field spreads must be positive, got rho_x={self.rho_x}, rho_y={self.rho_y}"
             )
@@ -43,10 +55,14 @@ class FieldParams:
 
     @classmethod
     def from_array(cls, theta):
+        """Parameters from a 5-vector, or from a ``(T, 5)`` stack of them as
+        ``(T, 1)`` columns."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (N_PARAMS,):
+        if theta.shape[-1:] != (N_PARAMS,) or theta.ndim > 2:
             raise ValueError(f"expected {N_PARAMS} parameters, got shape {theta.shape}")
-        return cls(*(float(v) for v in theta))
+        if theta.ndim == 2:
+            return cls(*theta.T.copy()[:, :, None])
+        return cls(*theta.tolist())
 
 
 @dataclass(frozen=True)
@@ -72,7 +88,8 @@ class GaussianBellModel:
 
     All three evaluators broadcast over point arrays: for inputs of shape
     ``(...)``, ``value`` returns shape ``(...)``, ``gradient`` returns
-    ``(..., 5)`` and ``hessian`` returns ``(..., 5, 5)``.
+    ``(..., 5)`` and ``hessian`` returns ``(..., 5, 5)``.  Params with
+    ``(T, 1)`` columns broadcast the same way, against ``(T, K)`` points.
     """
 
     # Optimizers probe this model at extreme iterates (spreads near zero or
@@ -84,59 +101,64 @@ class GaussianBellModel:
 
     @staticmethod
     def _reduced(params, x, y):
+        """Reduced coordinates u, v and the envelope e; callers hold
+        np.errstate(all="ignore")."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        with np.errstate(all="ignore"):
-            u = (x - params.x_c) / np.float64(params.rho_x)
-            v = (y - params.y_c) / np.float64(params.rho_y)
-            e = np.exp(-0.5 * (u * u + v * v))
-        return u, v, e
+        u = (x - params.x_c) / np.float64(params.rho_x)
+        v = (y - params.y_c) / np.float64(params.rho_y)
+        return u, v, np.exp(-0.5 * (u * u + v * v))
 
     def value(self, params, x, y):
-        _, _, e = self._reduced(params, x, y)
-        return params.h * e
+        with np.errstate(all="ignore"):
+            _, _, e = self._reduced(params, x, y)
+            return params.h * e
 
     def gradient(self, params, x, y):
-        u, v, e = self._reduced(params, x, y)
-        h = np.float64(params.h)
-        rx, ry = np.float64(params.rho_x), np.float64(params.rho_y)
-        out = np.empty(e.shape + (N_PARAMS,))
         with np.errstate(all="ignore"):
+            u, v, e = self._reduced(params, x, y)
+            h = np.float64(params.h)
+            rx, ry = np.float64(params.rho_x), np.float64(params.rho_y)
+            out = np.empty(e.shape + (N_PARAMS,))
+            # products are formed left to right, as in h * e * u * u / rx
+            he = h * e
+            hu, hv = he * u, he * v
             out[..., 0] = e
-            out[..., 1] = h * e * u * u / rx
-            out[..., 2] = h * e * v * v / ry
-            out[..., 3] = h * e * u / rx
-            out[..., 4] = h * e * v / ry
+            out[..., 1] = hu * u / rx
+            out[..., 2] = hv * v / ry
+            out[..., 3] = hu / rx
+            out[..., 4] = hv / ry
         out[e == 0.0] = 0.0
         return out
 
     def hessian(self, params, x, y):
-        u, v, e = self._reduced(params, x, y)
-        h = np.float64(params.h)
-        rx, ry = np.float64(params.rho_x), np.float64(params.rho_y)
-        out = np.empty(e.shape + (N_PARAMS, N_PARAMS))
         with np.errstate(all="ignore"):
+            u, v, e = self._reduced(params, x, y)
+            h = np.float64(params.h)
+            rx, ry = np.float64(params.rho_x), np.float64(params.rho_y)
+            out = np.empty(e.shape + (N_PARAMS, N_PARAMS))
             u2, v2 = u * u, v * v
             rx2, ry2, rxy = rx * rx, ry * ry, rx * ry
+            # products are formed left to right, as in h * e * u2 * v2 / rxy
+            he = h * e
+            hu, hu2 = he * u, he * u2
             out[..., 0, 0] = 0.0
             out[..., 0, 1] = e * u2 / rx
             out[..., 0, 2] = e * v2 / ry
             out[..., 0, 3] = e * u / rx
             out[..., 0, 4] = e * v / ry
-            out[..., 1, 1] = h * e * (u2 * u2 - 3.0 * u2) / rx2
-            out[..., 1, 2] = h * e * u2 * v2 / rxy
-            out[..., 1, 3] = h * e * (u2 * u - 2.0 * u) / rx2
-            out[..., 1, 4] = h * e * u2 * v / rxy
-            out[..., 2, 2] = h * e * (v2 * v2 - 3.0 * v2) / ry2
-            out[..., 2, 3] = h * e * u * v2 / rxy
-            out[..., 2, 4] = h * e * (v2 * v - 2.0 * v) / ry2
-            out[..., 3, 3] = h * e * (u2 - 1.0) / rx2
-            out[..., 3, 4] = h * e * u * v / rxy
-            out[..., 4, 4] = h * e * (v2 - 1.0) / ry2
+            out[..., 1, 1] = he * (u2 * u2 - 3.0 * u2) / rx2
+            out[..., 1, 2] = hu2 * v2 / rxy
+            out[..., 1, 3] = he * (u2 * u - 2.0 * u) / rx2
+            out[..., 1, 4] = hu2 * v / rxy
+            out[..., 2, 2] = he * (v2 * v2 - 3.0 * v2) / ry2
+            out[..., 2, 3] = hu * v2 / rxy
+            out[..., 2, 4] = he * (v2 * v - 2.0 * v) / ry2
+            out[..., 3, 3] = he * (u2 - 1.0) / rx2
+            out[..., 3, 4] = hu * v / rxy
+            out[..., 4, 4] = he * (v2 - 1.0) / ry2
         out[e == 0.0] = 0.0
-        for s in range(N_PARAMS):
-            for t in range(s):
-                out[..., s, t] = out[..., t, s]
+        out[..., _LOWER[0], _LOWER[1]] = out[..., _LOWER[1], _LOWER[0]]
         return out
 
 

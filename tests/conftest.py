@@ -32,6 +32,16 @@ def sigma2_15db(truth, area):
     return calibrate_sigma(GAUSSIAN_BELL, truth, area, 15.0)
 
 
+def assert_same_outcome(got, alone):
+    """Two estimator results are bitwise equal: the same iterate path,
+    log-likelihoods, iteration count, flag and reason."""
+    assert got.trace.tobytes() == alone.trace.tobytes()
+    assert got.loglik_trace.tobytes() == alone.loglik_trace.tobytes()
+    assert (got.iterations, got.converged, got.divergence_reason) == (
+        alone.iterations, alone.converged, alone.divergence_reason
+    )
+
+
 def make_network(k, area, sigma2, seed):
     """Deployed network with per-sensor observation noise attached."""
     net = deploy_uniform(k, area, np.random.SeedSequence(seed))

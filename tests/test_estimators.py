@@ -17,15 +17,21 @@ from fieldest import (
     loglik_quantized,
     make_uniform_quantizer,
     newton_ml_analog,
+    newton_ml_analog_batch,
     nr_estimate_quantized,
     q_function,
     quantize,
     quantize_forward,
     sample_observations,
 )
-from fieldest.estimators import _em_quantities_batch, _quantized_loglik_derivs
+from fieldest.estimators import (
+    _ascent_steps,
+    _em_quantities_batch,
+    _quantized_loglik_derivs,
+    _wls_derivs,
+)
 
-from conftest import make_network
+from conftest import assert_same_outcome, make_network
 
 
 def _analog_data(truth, area, sigma2, eta2, k=40, seed=100):
@@ -103,6 +109,51 @@ def test_newton_analog_matches_generic_optimizer(truth, area):
                             options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 20_000})
     assert ref.success
     np.testing.assert_allclose(res.theta_hat.as_array(), ref.x, atol=2e-4)
+
+
+def test_batch_rows_with_a_singular_hessian_and_an_invalid_first_step_run_as_alone(
+    truth, area, sigma2_15db, analog_eta2_15db
+):
+    eta2, cfg = analog_eta2_15db, SolverConfig()
+    data = [_analog_data(truth, area, sigma2_15db, eta2, k=20, seed=s) for s in (5, 6, 7, 8)]
+    inits = [
+        FieldParams(9.0, 1.5, 1.5, 3.0, 3.0),
+        # h = 0: every entry of the Hessian outside row and column 0 is 0
+        FieldParams(0.0, 2.0, 2.0, 4.0, 4.0),
+        FieldParams(7.0, 0.3, 3.0, 4.0, 8.0),
+        FieldParams(7.0, 2.5, 1.8, 5.0, 4.5),
+    ]
+    # preconditions: row 1's Hessian is exactly singular, so the stacked
+    # solve of its iteration fails as a whole; row 2's full first Newton step
+    # makes a spread non-positive
+    for row, init in ((1, inits[1]), (2, inits[2])):
+        net, z = data[row]
+        w = 1.0 / (net.sigma2 + eta2)
+        theta = init.as_array()[None]
+        grad, hess = _wls_derivs(GAUSSIAN_BELL, theta, z.z[None], w[None], net.x[None], net.y[None])
+        if row == 1:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(hess, -grad[:, :, None])
+        else:
+            step, end = _ascent_steps(grad, hess, cfg)
+            assert end is None and min((theta + step)[0, 1:3]) <= 0.0
+    batch = newton_ml_analog_batch(
+        [z for _, z in data], [net for net, _ in data], GAUSSIAN_BELL, eta2, inits, cfg
+    )
+    assert len(batch) == len(data)
+    for (net, z), init, got in zip(data, inits, batch):
+        assert_same_outcome(got, newton_ml_analog(z, net, GAUSSIAN_BELL, eta2, init, cfg))
+
+
+def test_batch_input_checks(truth, area, sigma2_15db):
+    net, z = _analog_data(truth, area, sigma2_15db, 0.3, k=10, seed=3)
+    other, z_other = _analog_data(truth, area, sigma2_15db, 0.3, k=12, seed=4)
+    init = FieldParams(9.0, 1.5, 1.5, 3.0, 3.0)
+    with pytest.raises(ValueError, match="share the sensor count"):
+        newton_ml_analog_batch([z, z_other], [net, other], GAUSSIAN_BELL, 0.3, [init] * 2,
+                               SolverConfig())
+    with pytest.raises(ValueError, match="K-vector"):
+        newton_ml_analog(z_other, net, GAUSSIAN_BELL, 0.3, init, SolverConfig())
 
 
 # -------------------------------------------------------- quantized loglik

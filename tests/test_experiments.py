@@ -32,10 +32,13 @@ from fieldest.experiments import (
     parse_config_text,
     resolve_cells,
     run_campaign,
+    run_cell_trials,
     run_trial,
     squared_error,
 )
-from fieldest import FieldParams
+from fieldest import FieldParams, GAUSSIAN_BELL, estimators, experiments, newton_ml_analog
+
+from conftest import assert_same_outcome
 
 
 def test_squared_error_basic():
@@ -567,16 +570,92 @@ def _without_workers(report):
     return json.dumps(report, indent=2)
 
 
-def test_reports_identical_across_worker_counts():
-    cfg = _tiny_analog_cfg(k_values=(5, 9), trials=5, crlb_enabled=True)
-    serial = run_campaign(cfg)
-    assert _without_workers(run_campaign(replace(cfg, workers=2))) == _without_workers(serial)
+def _report_bytes(report, path):
+    """report.json as exported, with the echo of run.workers set to 1."""
+    report = json.loads(json.dumps(report))
+    report["config"]["run.workers"] = 1
+    return export_report(report, path, fmt="json").read_bytes()
+
+
+def _split_by(size):
+    def chunks(cfg, k):
+        return [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
+
+    return chunks
+
+
+def _same_record(got, want):
+    assert (got.trial, got.seed, got.network_digest, got.init, got.se, got.converged, got.error) == (
+        want.trial, want.seed, want.network_digest, want.init, want.se, want.converged, want.error
+    )
+    assert_same_outcome(got.result, want.result)
+
+
+def test_reports_identical_across_worker_counts(monkeypatch, tmp_path):
+    # the analog trials of a cell run as one batch per contiguous chunk; the
+    # report is byte-identical for any worker count and any split
+    cfg = _tiny_analog_cfg(k_values=(5, 9), trials=15, crlb_enabled=True)
+    serial = _report_bytes(run_campaign(cfg), tmp_path / "serial.json")
+    assert _report_bytes(run_campaign(replace(cfg, workers=2)), tmp_path / "w2.json") == serial
+    for size in (1, 7, cfg.trials):
+        monkeypatch.setattr(experiments, "_trial_chunks", _split_by(size))
+        for workers in (1, 2):
+            report = run_campaign(replace(cfg, workers=workers))
+            assert _report_bytes(report, tmp_path / f"{size}_{workers}.json") == serial
+    monkeypatch.undo()
+    # run_trial is a batch of one and gives the campaign's record of that trial
+    single = replace(cfg, k_values=(9,))
+    cells, ids = resolve_cells(single)
+    records = run_cell_trials(single, cells[0], ids[0])
+    for t in (0, 6, 14):
+        _same_record(run_trial(single, t), records[t])
     qcfg = ExperimentConfig(
         channel="quantized", k_values=(8,), m_values=(2, 4), trials=3,
         crlb_enabled=False, tau_count=5,
     )
     serial = compare_em_nr(qcfg)
     assert _without_workers(compare_em_nr(replace(qcfg, workers=2))) == _without_workers(serial)
+
+
+def test_a_batch_equals_its_rows_run_alone():
+    # every trial of the four analog-sweep cells, estimated in the cell's
+    # batch, equals newton_ml_analog on that trial alone, bit for bit
+    reasons = {}
+    for seed in (20240901, 7919):
+        cfg = ExperimentConfig(
+            channel="analog", k_values=(10, 20, 40, 100), trials=40, base_seed=seed,
+            crlb_enabled=False,
+        )
+        cells, ids = resolve_cells(cfg)
+        for cell, data_id in zip(cells, ids):
+            calib = experiments._cell_calibration(cfg, cell)
+            for trial, record in enumerate(run_cell_trials(cfg, cell, data_id)):
+                net, z, init, _ = experiments._trial_inputs(cfg, cell, data_id, trial, calib)
+                alone = newton_ml_analog(z, net, GAUSSIAN_BELL, calib[1], init, cfg.solver)
+                assert_same_outcome(record.result, alone)
+                reasons[seed, record.error] = reasons.get((seed, record.error), 0) + 1
+    # the default seed's cells include rows that fail or hit the cap
+    assert reasons[20240901, "line_search_failed"] > 0
+    assert reasons[20240901, "max_iterations"] > 0
+
+
+def test_a_raising_row_is_recorded_and_the_others_estimated(monkeypatch):
+    def broken(grad, hess):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    cfg = _tiny_analog_cfg(k_values=(10,), trials=12)
+    cells, ids = resolve_cells(cfg)
+    healthy = run_cell_trials(cfg, cells[0], ids[0])
+    monkeypatch.setattr(estimators, "_modified_steps", broken)
+    records = run_cell_trials(cfg, cells[0], ids[0])
+    failed = [r for r in records if r.result is None]
+    assert failed and len(failed) < len(records)
+    for record, before in zip(records, healthy):
+        if record.result is None:
+            assert record.error == "LinAlgError: Eigenvalues did not converge"
+            assert record.se is None and not record.converged
+        else:
+            _same_record(record, before)
 
 
 def test_each_cell_is_calibrated_once(calibration_calls):

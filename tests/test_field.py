@@ -162,3 +162,40 @@ def test_extreme_parameters_saturate_without_raising():
     assert np.all(GAUSSIAN_BELL.value(far, x, y) == 0.0)
     assert np.all(GAUSSIAN_BELL.gradient(far, x, y) == 0.0)
     assert np.all(GAUSSIAN_BELL.hessian(far, x, y) == 0.0)
+
+
+def test_kernels_on_stacked_params_equal_per_row_calls():
+    # a (T, 5) stack gives (T, 1) parameter columns that broadcast against
+    # (T, K) points; each row is bitwise the per-row call, the saturating
+    # rows included, and the underflowed envelope is exactly 0 row by row
+    rows = [
+        FieldParams(8.0, 2.0, 2.5, 4.0, 3.0),
+        FieldParams(8.0, 1e200, 2.0, 4.0, 4.0),
+        FieldParams(8.0, 1e-3, 1e-3, 4.0, 4.0),
+        FieldParams(-3.0, 2.0, 2.0, 400.0, -400.0),
+        FieldParams(8.0, 2.0, 2.0, 4000.0, 4.0),
+    ]
+    rng = np.random.default_rng(12)
+    x = np.hstack([np.tile([1.0, 4.0, 7.5], (len(rows), 1)), rng.uniform(0, 8, (len(rows), 6))])
+    y = np.hstack([np.tile([2.0, 4.0, 0.5], (len(rows), 1)), rng.uniform(0, 8, (len(rows), 6))])
+    stacked = FieldParams.from_array(np.array([p.as_array() for p in rows]))
+    assert np.shape(stacked.rho_x) == (len(rows), 1)
+    for name in ("value", "gradient", "hessian"):
+        got = getattr(GAUSSIAN_BELL, name)(stacked, x, y)
+        assert got.shape[:2] == x.shape
+        for i, p in enumerate(rows):
+            assert got[i].tobytes() == getattr(GAUSSIAN_BELL, name)(p, x[i], y[i]).tobytes()
+        assert np.all(got[4] == 0.0)
+
+
+def test_stacked_params_check_every_row():
+    stack = np.array([[8.0, 2.0, 2.5, 4.0, 3.0]] * 4)
+    FieldParams.from_array(stack)
+    for bad in (0.0, -1.0, np.nan):
+        for col in (1, 2):
+            broken = stack.copy()
+            broken[2, col] = bad
+            with pytest.raises(ValueError, match="spreads must be positive"):
+                FieldParams.from_array(broken)
+    with pytest.raises(ValueError):
+        FieldParams.from_array(np.ones((2, 3, 5)))
