@@ -19,6 +19,11 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _positive_finite(a):
+    """Whether every entry of a is finite and positive (NaN is neither)."""
+    return bool(np.all((a > 0) & (a < np.inf)))
+
+
 def _as_readings(r):
     """Accept an ObservationVector-like object (with .r) or a plain array."""
     arr = np.asarray(getattr(r, "r", r), dtype=float)
@@ -115,8 +120,8 @@ class ReceivedMatrix:
         if z.ndim not in (1, 2):
             raise ValueError(f"received data must be (K,) or (K, alpha), got {z.shape}")
         e = np.broadcast_to(e, (z.shape[0],)).copy()
-        if np.any(e <= 0):
-            raise ValueError("channel variances must be positive")
+        if not _positive_finite(e):
+            raise ValueError("channel variances must be finite and positive")
         object.__setattr__(self, "eta2", e)
 
     @property
@@ -163,12 +168,12 @@ def level_probabilities(q, g, sigma):
     keep relative accuracy, and the total telescopes to 1 within 1e-12.
 
     g may be a scalar (returns shape (M,)) or an (N,) array (returns (N, M));
-    sigma is a positive scalar or an array broadcastable against g.
+    sigma is a finite positive scalar or an array broadcastable against g.
     """
     g_arr = np.atleast_1d(np.asarray(g, dtype=float))
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), g_arr.shape)
-    if np.any(sig <= 0):
-        raise ValueError("sigma must be positive")
+    if not _positive_finite(sig):
+        raise ValueError("sigma must be finite and positive")
     u = (q.boundaries[None, :] - g_arr[:, None]) / sig[:, None]
     right = 0.5 * erfc(u / _SQRT2)
     p = right[:, :-1] - right[:, 1:]
@@ -182,15 +187,16 @@ def level_probabilities(q, g, sigma):
     return p
 
 
-def _p_derivatives_batch(q, g, sigma):
-    """Level probabilities of R_k ~ N(g_k, sigma_k^2) and their first and
-    second derivatives in g_k: returns (p, dp/dg, d2p/dg2), each (K, M)."""
+def _p_slopes(q, g, sigma):
+    """First and second derivatives in g_k of the level probabilities of
+    R_k ~ N(g_k, sigma_k^2): returns (dp/dg, d2p/dg2), each (K, M).  The
+    probabilities themselves are ``level_probabilities(q, g, sigma)``."""
     u = (q.boundaries[None, :] - g[:, None]) / sigma[:, None]
     phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
     uphi = np.where(np.isfinite(u), u, 0.0) * phi
     dp_dg = (phi[:, :-1] - phi[:, 1:]) / sigma[:, None]
     d2p_dg2 = (uphi[:, :-1] - uphi[:, 1:]) / sigma[:, None] ** 2
-    return level_probabilities(q, g, sigma), dp_dg, d2p_dg2
+    return dp_dg, d2p_dg2
 
 
 def bits_of_level(bm, j):

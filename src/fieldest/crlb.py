@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .channel import _p_derivatives_batch, level_probabilities
+from .channel import _p_slopes, level_probabilities
 from ._quadrature import simpson_nodes_weights
 
 #: refuse series evaluations with more enumerated terms than this
@@ -130,9 +130,7 @@ def p_derivatives(quantizer, g, grad_g, hess_g, sigma):
         raise ValueError("sigma must be positive")
     grad_g = np.asarray(grad_g, dtype=float)
     hess_g = np.asarray(hess_g, dtype=float)
-    _, dp_dg, d2p_dg2 = _p_derivatives_batch(
-        quantizer, np.atleast_1d(float(g)), np.atleast_1d(sigma)
-    )
+    dp_dg, d2p_dg2 = _p_slopes(quantizer, np.atleast_1d(float(g)), np.atleast_1d(sigma))
     dp = dp_dg[0][:, None] * grad_g[None, :]
     d2p = (
         d2p_dg2[0][:, None, None] * grad_g[None, :, None] * grad_g[None, None, :]
@@ -149,7 +147,8 @@ def _quantized_inputs(net, model, params, quantizer, bm, eta2):
         raise ValueError("network has no calibrated sigma2")
     eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
     g = model.value(params, net.x, net.y)
-    p, dp_dg, _ = _p_derivatives_batch(quantizer, g, np.sqrt(net.sigma2))
+    sigma = np.sqrt(net.sigma2)
+    p, (dp_dg, _) = level_probabilities(quantizer, g, sigma), _p_slopes(quantizer, g, sigma)
     return eta2v, p, dp_dg, model.gradient(params, net.x, net.y)
 
 
@@ -403,7 +402,13 @@ def _info_simpson(p, dp, bm, eta2, nodes):
     for e_blk, w_blk in _grid_slabs(bm, eta2, nodes):
         x = e_blk @ p.T
         num = e_blk @ dp.T
-        info += w_blk @ np.divide(num * num, x, out=np.zeros_like(x), where=x > 0)
+        num *= num  # in place: a slab is nodes^(alpha-1) x K
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num /= x
+        empty = ~(x > 0)
+        if empty.any():
+            num[empty] = 0.0
+        info += w_blk @ num
     return info * (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0)
 
 

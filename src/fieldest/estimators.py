@@ -26,6 +26,15 @@ so a trial's estimate does not depend on the batch it ran in, bit for bit.
 ``newton_ml_analog`` is a batch of one; the EM M-step and NR keep their
 per-trial outer loops and run the core with T = 1.
 
+Nothing is evaluated twice at one iterate.  The core's objective returns,
+beside each row's value, its evaluation (the field values g, and for the
+quantized likelihood also the level probabilities p and the row maxima of
+log p + d), which travels with the iterate through the line search to the
+derivatives.  A quantized trial's bit distances d are computed once; in EM,
+one evaluation of each new iterate gives its log-likelihood, the next
+E-step and the M-step's starting point, and the M-step hands back the field
+values at its last iterate.
+
 All estimators are deterministic functions of (data, init, config) and report
 their iterate path plus the incomplete-data log-likelihood per iterate.
 """
@@ -39,7 +48,7 @@ from functools import partial
 import numpy as np
 from scipy.special import erfc
 
-from .channel import _p_derivatives_batch, level_probabilities
+from .channel import _p_slopes, level_probabilities
 from .field import FieldParams
 
 _SQRT2 = np.sqrt(2.0)
@@ -180,15 +189,15 @@ _ALL = slice(None)
 _NO_ROWS = np.empty(0, dtype=int)
 
 
-def _backtrack(value_fn, theta, f, step, data, todo, cfg):
+def _backtrack(value_fn, theta, f, ev, step, data, todo, cfg):
     """Backtracking line search of the rows todo (an index array, or _ALL):
     each halves its step (up to cfg.damping times) until the objective does
     not decrease at a valid iterate (positive spreads).  All rows still
     searching are on the same halving, and only they are evaluated.  Returns
-    (iterates, objectives, indices of the rows that found no such step);
-    rows that take no step keep theta and f."""
+    (iterates, objectives, evaluations, indices of the rows that found no
+    such step); rows that take no step keep theta, f and their rows of ev."""
     n = len(theta)
-    cand, fc = theta, f
+    cand, fc, evc = theta, f, ev
     alpha = 1.0
     for _ in range(cfg.damping + 1):
         whole = todo is _ALL
@@ -199,15 +208,17 @@ def _backtrack(value_fn, theta, f, step, data, todo, cfg):
             valid = positive.all(axis=1)
             at, trial, whole = np.arange(n)[todo][valid], trial[valid], False
         if len(trial):
-            ft = value_fn(trial, *(data if whole else (a[at] for a in data)))
+            ft, evt = value_fn(trial, *(data if whole else (a[at] for a in data)))
             up = np.isfinite(ft) & (ft >= (f if whole else f[at]))
             if whole and _all(up):
-                return trial, ft, _NO_ROWS
+                return trial, ft, evt, _NO_ROWS
             if _any(up):
                 if cand is theta:
-                    cand, fc = theta.copy(), f.copy()
+                    cand, fc, evc = theta.copy(), f.copy(), tuple(a.copy() for a in ev)
                 won = np.arange(n)[at][up]
                 cand[won], fc[won] = trial[up], ft[up]
+                for a, b in zip(evc, evt):
+                    a[won] = b[up]
                 left = np.zeros(n, dtype=bool)
                 left[todo] = True
                 left[won] = False
@@ -215,29 +226,37 @@ def _backtrack(value_fn, theta, f, step, data, todo, cfg):
                 if not len(todo):
                     break
         alpha *= 0.5
-    return cand, fc, np.arange(n)[todo]
+    return cand, fc, evc, np.arange(n)[todo]
 
 
-def _damped_newton_ascent(value_fn, derivs_fn, theta0, data, cfg, grad_tol, max_iter, stall_limit=3):
+def _damped_newton_ascent(
+    value_fn, derivs_fn, theta0, data, cfg, grad_tol, max_iter, stall_limit=3, start=None
+):
     """Maximize each of T objectives from its row of theta0 (T, 5) by damped
     Newton with backtracking, all T as one array program.
 
-    ``value_fn(theta, *data)`` gives the (n,) objectives and
-    ``derivs_fn(theta, *data)`` the (n, 5) gradients and (n, 5, 5) Hessians
-    of n working rows, where each array in ``data`` has one row per trial.
-    Convergence means the gradient sup-norm fell below grad_tol with the last
-    step within tol.  A row leaves the working set when it converges, fails,
-    stalls or reaches max_iter; the set is compacted only then, and every
-    row's arithmetic is the same as if it ran alone.  Returns, per row,
-    (trace, values, converged, reason).
+    ``value_fn(theta, *data)`` gives the (n,) objectives of n working rows
+    and their evaluation: a tuple of per-row by-products (the field values,
+    say), which ``derivs_fn(theta, *evaluation, *data)`` reuses to give the
+    (n, 5) gradients and (n, 5, 5) Hessians at the same rows.  Each array in
+    ``data`` has one row per trial.  The evaluation travels with its iterate
+    through the line search and the working set, so no iterate is evaluated
+    twice; ``start`` gives (f, evaluation) at theta0 when the caller already
+    has them.  Convergence means the gradient sup-norm fell below grad_tol
+    with the last step within tol.  A row leaves the working set when it
+    converges, fails, stalls or reaches max_iter; the set is compacted only
+    then, and every row's arithmetic is the same as if it ran alone.
+    Returns, per row, (trace, values, converged, reason, the evaluation at
+    its last iterate).
     """
     theta = np.array(theta0, dtype=float)
     if not (_all(np.isfinite(theta)) and _all(theta[:, 1:3] > 0)):
         raise ValueError(f"invalid initial parameters {theta[~_theta_ok(theta)][0]}")
     n_rows = len(theta)
     rows = np.arange(n_rows)
-    ends = [_CAPPED] * n_rows  # what is still working at the cap
-    f = value_fn(theta, *data)
+    ends = [0] * n_rows
+    lasts = [()] * n_rows
+    f, ev = value_fn(theta, *data) if start is None else start
     log = [(rows, theta, f)]
     # per-row scalars: the last step's sup-norm (0 before the first step, so
     # the step test passes) and the run of steps within tol
@@ -245,17 +264,20 @@ def _damped_newton_ascent(value_fn, derivs_fn, theta0, data, cfg, grad_tol, max_
     stalls = [0] * n_rows
 
     def settle(end, *extra):
-        """Record the rows with a non-zero end code, drop them from the
-        working set and return extra without them."""
-        nonlocal rows, theta, f, last_delta, stalls, data
-        for r, code in zip(rows.tolist(), end):
+        """Record the rows with a non-zero end code and their last
+        evaluation, drop them from the working set and return extra without
+        them."""
+        nonlocal rows, theta, f, ev, last_delta, stalls, data
+        for i, (r, code) in enumerate(zip(rows.tolist(), end)):
             if code:
                 ends[r] = code
+                lasts[r] = tuple(a[i] for a in ev)
         keep = [i for i, code in enumerate(end) if not code]
         if not keep:
             rows = rows[:0]
             return extra
         rows, theta, f = rows[keep], theta[keep], f[keep]
+        ev = tuple(a[keep] for a in ev)
         last_delta = [last_delta[i] for i in keep]
         stalls = [stalls[i] for i in keep]
         data = tuple(a[keep] for a in data)
@@ -267,7 +289,7 @@ def _damped_newton_ascent(value_fn, derivs_fn, theta0, data, cfg, grad_tol, max_
     for _ in range(max_iter):
         if not len(rows):
             break
-        grad, hess = derivs_fn(theta, *data)
+        grad, hess = derivs_fn(theta, *ev, *data)
         gmax = np.abs(grad).max(axis=1).tolist()  # NaN or inf unless the row is finite
         hfin = np.isfinite(hess).all(axis=(1, 2)).tolist()
         end = [
@@ -281,7 +303,7 @@ def _damped_newton_ascent(value_fn, derivs_fn, theta0, data, cfg, grad_tol, max_
                 break
         step, end = _ascent_steps(grad, hess, cfg)
         todo = _ALL if end is None else np.flatnonzero(end == 0)
-        cand, fc, failed = _backtrack(value_fn, theta, f, step, data, todo, cfg)
+        cand, fc, ev, failed = _backtrack(value_fn, theta, f, ev, step, data, todo, cfg)
         last_delta = np.abs(cand - theta).max(axis=1).tolist()
         stalls = [s + 1 if d <= cfg.tol else 0 for s, d in zip(stalls, last_delta)]
         theta, f = cand, fc
@@ -300,14 +322,16 @@ def _damped_newton_ascent(value_fn, derivs_fn, theta0, data, cfg, grad_tol, max_
                 for code, s in zip(end.tolist(), stalls)
             ]
         settle(end)
+    if len(rows):  # still working at the cap
+        settle([_CAPPED] * len(rows))
     ids = np.concatenate([r for r, _, _ in log])
     order = np.argsort(ids, kind="stable")
     traces = np.concatenate([t for _, t, _ in log])[order]
     values = np.concatenate([v for _, _, v in log])[order]
     edges = [0, *np.cumsum(np.bincount(ids, minlength=n_rows)).tolist()]
     return [
-        (traces[a:b], values[a:b], code == _CONVERGED, _ENDS[code])
-        for code, a, b in zip(ends, edges, edges[1:])
+        (traces[a:b], values[a:b], code == _CONVERGED, _ENDS[code], last)
+        for code, last, a, b in zip(ends, lasts, edges, edges[1:])
     ]
 
 
@@ -321,7 +345,8 @@ def _chain(d1, d2, grads, hesses):
     return np.matmul(d1[:, None, :], grads)[:, 0], hess
 
 
-def _pack_result(trace, values, converged, reason):
+def _pack_result(trace, values, converged, reason, _last=()):
+    """An EstimateResult from one row of the ascent's outcome."""
     arr = np.asarray(trace)
     return EstimateResult(
         theta_hat=FieldParams.from_array(arr[-1]),
@@ -354,22 +379,28 @@ def _row_params(theta):
     return FieldParams.from_array(theta[0] if len(theta) == 1 else theta)
 
 
-def _wls_value(model, theta, target, w, x, y):
-    g = model.value(_row_params(theta), x, y)
+def _wls_objective(g, target, w):
     return -0.5 * (w * (target - g) ** 2).sum(axis=1)
 
 
-def _wls_derivs(model, theta, target, w, x, y):
+def _wls_value(model, theta, target, w, x, y):
+    """The least-squares objectives of the rows of theta, and their field
+    values as the evaluation."""
+    g = model.value(_row_params(theta), x, y)
+    return _wls_objective(g, target, w), (g,)
+
+
+def _wls_derivs(model, theta, g, target, w, x, y):
     params = _row_params(theta)
-    g = model.value(params, x, y)
     return _chain(w * (target - g), -w, model.gradient(params, x, y), model.hessian(params, x, y))
 
 
-def _wls_ascent(target, w, x, y, model, theta0, cfg, grad_tol, max_iter, stall_limit):
+def _wls_ascent(target, w, x, y, model, theta0, cfg, grad_tol, max_iter, stall_limit, g0=None):
     """Fit the field to per-sensor targets by damped Newton ascent on the
     weighted least-squares objective -1/2 sum_k w_k (target_k - G_k)^2, for a
     stack of trials: theta0 is (T, 5) and target, w and the sensor
-    coordinates x, y are (T, K).
+    coordinates x, y are (T, K); g0, when given, holds the field values at
+    theta0.
 
     Analog ML fits the readings z with w = 1/(sigma2 + eta2); the EM M-step
     fits the posterior means A with w = 1/sigma2.
@@ -377,6 +408,7 @@ def _wls_ascent(target, w, x, y, model, theta0, cfg, grad_tol, max_iter, stall_l
     return _damped_newton_ascent(
         partial(_wls_value, model), partial(_wls_derivs, model), theta0, (target, w, x, y),
         cfg, grad_tol, max_iter, stall_limit,
+        start=None if g0 is None else (_wls_objective(g0, target, w), (g0,)),
     )
 
 
@@ -419,8 +451,60 @@ def _bit_distances(zmat, codebook, eta2v):
     return -np.einsum("kja,kja->kj", diff, diff) / (2.0 * eta2v[:, None])
 
 
-def _check_bits_input(z, net, quantizer, bm, eta2):
-    """The received words as a (K, alpha) array and eta2 per sensor."""
+@dataclass(frozen=True, eq=False)
+class _Mixture:
+    """One trial's quantized log-likelihood as a function of the field
+    values g: sum_k l_k(g_k) with l_k(g) = log sum_j p_j(g; sigma_k) e^{d_kj},
+    where d holds the trial's ``_bit_distances``, computed once."""
+
+    quantizer: object
+    sigma: np.ndarray
+    d: np.ndarray
+
+    @classmethod
+    def of(cls, zmat, quantizer, bm, sigma, eta2v):
+        return cls(quantizer, sigma, _bit_distances(zmat, bm.codebook, eta2v))
+
+    def at(self, g):
+        """(sum_k l_k, p, amax) at the field values g, stabilized by
+        max-subtraction: the level probabilities p and the row maxima amax
+        of log p + d are the evaluation that the slopes at g reuse."""
+        p = level_probabilities(self.quantizer, g, self.sigma)
+        with np.errstate(divide="ignore"):
+            a = np.log(p) + self.d
+        amax = np.max(a, axis=1)
+        if not np.all(np.isfinite(amax)):
+            raise EstimationError("a received word has zero mixture mass at every level")
+        s = np.exp(a - amax[:, None]).sum(axis=1)
+        return float(np.sum(amax + np.log(s))), p, amax
+
+    def slopes(self, g, p, amax):
+        """First and second derivatives l'_k and l''_k at g, given p and
+        amax from ``at(g)``."""
+        dp, d2p = _p_slopes(self.quantizer, g, self.sigma)
+        # exp(d - amax) keeps the mixture sum >= ~1 while the exponent stays modest
+        t = np.exp(np.minimum(self.d - amax[:, None], 700.0))
+        den = np.einsum("kj,kj->k", p, t)
+        d1 = np.einsum("kj,kj->k", dp, t) / den
+        return d1, np.einsum("kj,kj->k", d2p, t) / den - d1 * d1
+
+    def posterior_means(self, g, p, amax):
+        """E-step for all sensors at once: A_k, the posterior mean
+        E[R_k | z_k] of the latent reading under the field values g, which
+        is g_k + sigma_k^2 l'_k.  The posterior mass is 1 by construction, so
+        the M-step surrogate sum_k (A_k G_k - G_k^2/2)/sigma2_k is the analog
+        least-squares objective with A in place of the readings, up to a
+        constant."""
+        d1, _ = self.slopes(g, p, amax)
+        a_val = g + self.sigma * self.sigma * d1
+        if not np.all(np.isfinite(a_val)):
+            raise EstimationError("a received word has a non-finite posterior mean")
+        return a_val
+
+
+def _trial_mixture(z, net, quantizer, bm, eta2):
+    """The mixture of one trial's received words z, checked against the
+    network and the quantizer."""
     zmat = np.asarray(z.z, dtype=float)
     if zmat.ndim != 2 or zmat.shape != (net.k, bm.alpha):
         raise ValueError(f"z must be (K, alpha) = ({net.k}, {bm.alpha}), got {zmat.shape}")
@@ -428,66 +512,50 @@ def _check_bits_input(z, net, quantizer, bm, eta2):
         raise ValueError("quantizer and bit mapper disagree on the level count")
     if net.sigma2 is None:
         raise ValueError("network has no calibrated sigma2")
-    return zmat, np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
+    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
+    return _Mixture.of(zmat, quantizer, bm, np.sqrt(net.sigma2), eta2v)
 
 
 def loglik_quantized(z, net, quantizer, bm, model, params, eta2):
     """Quantized-channel log-likelihood
     sum_k log sum_j p_kj(theta) exp(-||z_k - b_j||^2/(2 eta2_k)),
     stabilized by max-subtraction; additive constants dropped."""
-    zmat, eta2v = _check_bits_input(z, net, quantizer, bm, eta2)
-    g = model.value(params, net.x, net.y)
-    p = level_probabilities(quantizer, g, np.sqrt(net.sigma2))
-    d = _bit_distances(zmat, bm.codebook, eta2v)
-    with np.errstate(divide="ignore"):
-        a = np.log(p) + d
-    amax = np.max(a, axis=1)
-    if not np.all(np.isfinite(amax)):
-        raise EstimationError("a received word has zero mixture mass at every level")
-    s = np.exp(a - amax[:, None]).sum(axis=1)
-    return float(np.sum(amax + np.log(s)))
+    mix = _trial_mixture(z, net, quantizer, bm, eta2)
+    return mix.at(model.value(params, net.x, net.y))[0]
 
 
-def _loglik_slopes(zmat, quantizer, bm, g, sigma, eta2v):
-    """First and second derivatives in g_k of each sensor's term
-    l_k(g_k) = log sum_j p_kj(g_k) exp(-||z_k - b_j||^2/(2 eta2_k))."""
-    p, dp, d2p = _p_derivatives_batch(quantizer, g, sigma)
-    d = _bit_distances(zmat, bm.codebook, eta2v)
-    with np.errstate(divide="ignore"):
-        amax = np.max(np.log(p) + d, axis=1)
-    # exp(d - amax) keeps the mixture sum >= ~1 while the exponent stays modest
-    t = np.exp(np.minimum(d - amax[:, None], 700.0))
-    den = np.einsum("kj,kj->k", p, t)
-    d1 = np.einsum("kj,kj->k", dp, t) / den
-    return d1, np.einsum("kj,kj->k", d2p, t) / den - d1 * d1
+def _nr_value(mix, model, net, theta):
+    """NR's objective at one row theta (1, 5), with (g, p, amax) as its
+    evaluation."""
+    g = model.value(FieldParams.from_array(theta[0]), net.x, net.y)
+    ll, p, amax = mix.at(g)
+    return np.array([ll]), (g[None], p[None], amax[None])
+
+
+def _nr_derivs(mix, model, net, theta, g, p, amax):
+    """Gradient and Hessian of the quantized log-likelihood at one row theta,
+    from its evaluation."""
+    params = FieldParams.from_array(theta[0])
+    d1, d2 = mix.slopes(g[0], p[0], amax[0])
+    grads, hesses = model.gradient(params, net.x, net.y), model.hessian(params, net.x, net.y)
+    return _chain(d1[None], d2[None], grads[None], hesses[None])
 
 
 def _quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2v, theta):
     """Gradient and Hessian of the quantized log-likelihood at theta."""
-    params = FieldParams.from_array(theta)
-    g = model.value(params, net.x, net.y)
-    d1, d2 = _loglik_slopes(zmat, quantizer, bm, g, np.sqrt(net.sigma2), eta2v)
-    grads, hesses = model.gradient(params, net.x, net.y), model.hessian(params, net.x, net.y)
-    grad, hess = _chain(d1[None], d2[None], grads[None], hesses[None])
+    mix = _Mixture.of(zmat, quantizer, bm, np.sqrt(net.sigma2), eta2v)
+    theta = np.asarray(theta, dtype=float)[None]
+    grad, hess = _nr_derivs(mix, model, net, theta, *_nr_value(mix, model, net, theta)[1])
     return grad[0], hess[0]
 
 
 def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
     """Newton-Raphson ascent directly on the quantized log-likelihood, as a
     batch of one."""
-    zmat, eta2v = _check_bits_input(z, net, quantizer, bm, eta2)
-
-    def value(theta):
-        params = FieldParams.from_array(theta[0])
-        return np.array([loglik_quantized(z, net, quantizer, bm, model, params, eta2)])
-
-    def derivs(theta):
-        grad, hess = _quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2v, theta[0])
-        return grad[None], hess[None]
-
+    mix = _trial_mixture(z, net, quantizer, bm, eta2)
     out = _damped_newton_ascent(
-        value, derivs, init.as_array()[None], (), cfg,
-        grad_tol=1e-4 * net.k, max_iter=cfg.max_outer,
+        partial(_nr_value, mix, model, net), partial(_nr_derivs, mix, model, net),
+        init.as_array()[None], (), cfg, grad_tol=1e-4 * net.k, max_iter=cfg.max_outer,
     )
     return _pack_result(*out[0])
 
@@ -496,17 +564,10 @@ def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
 
 
 def _em_quantities_batch(zmat, quantizer, bm, g, sigma, eta2v):
-    """E-step for all sensors at once: A_k, the posterior mean E[R_k | z_k] of
-    the latent reading under the current field values g, which is
-    g_k + sigma_k^2 l'_k.  The posterior mass is 1 by construction, so the
-    M-step surrogate sum_k (A_k G_k - G_k^2/2)/sigma2_k is the analog
-    least-squares objective with A in place of the readings, up to a constant.
-    """
-    d1, _ = _loglik_slopes(zmat, quantizer, bm, g, sigma, eta2v)
-    a_val = g + sigma * sigma * d1
-    if not np.all(np.isfinite(a_val)):
-        raise EstimationError("a received word has a non-finite posterior mean")
-    return a_val
+    """Posterior means A_k of every sensor's latent reading under the field
+    values g (see ``_Mixture.posterior_means``)."""
+    mix = _Mixture.of(zmat, quantizer, bm, sigma, eta2v)
+    return mix.posterior_means(g, *mix.at(g)[1:])
 
 
 def em_quantities(z_k, quantizer, bm, g_m, sigma, eta2):
@@ -526,38 +587,42 @@ def em_quantities(z_k, quantizer, bm, g_m, sigma, eta2):
     return float(a_val[0])
 
 
-def _em_map(zmat, net, quantizer, bm, model, eta2v, theta, cfg, done):
-    """One EM cycle from theta: the E-step, the M-step score at theta (which
-    equals the incomplete-data score) and, unless done(score, inner_tol),
-    the analog least-squares fit of the field to the posterior means.
-    Returns (score, new theta or None, the inner solver's reason if it found
-    no ascent step at all, else None)."""
-    params = FieldParams.from_array(theta)
+def _em_score(net, model, theta, g, a_val):
+    """The M-step score at theta, sum_k (A_k - g_k)/sigma2_k grad G_k, which
+    equals the incomplete-data score there."""
+    return (1.0 / net.sigma2 * (a_val - g)) @ model.gradient(
+        FieldParams.from_array(theta), net.x, net.y
+    )
+
+
+def _em_inner_tol(net):
+    return 1e-7 * net.k * max(1.0, float(np.mean(1.0 / net.sigma2)))
+
+
+def _m_step(net, model, theta, g, a_val, cfg):
+    """The analog least-squares fit of the field to the posterior means A,
+    from theta with field values g.  Returns (the new theta, its field
+    values, the inner solver's reason if it found no ascent step at all,
+    else None)."""
     w = 1.0 / net.sigma2
-    tol = 1e-7 * net.k * max(1.0, float(np.mean(w)))
-    g = model.value(params, net.x, net.y)
-    a_val = _em_quantities_batch(zmat, quantizer, bm, g, np.sqrt(net.sigma2), eta2v)
-    score = (w * (a_val - g)) @ model.gradient(params, net.x, net.y)
-    if done(score, tol):
-        return score, None, None
-    ((trace, _, _, reason),) = _wls_ascent(
+    ((trace, _, _, reason, (g_new,)),) = _wls_ascent(
         a_val[None], w[None], net.x[None], net.y[None], model, theta[None], cfg,
-        tol, cfg.max_inner, stall_limit=1,
+        _em_inner_tol(net), cfg.max_inner, stall_limit=1, g0=g[None],
     )
     stuck = reason not in (None, "stalled", "max_iterations") and np.array_equal(trace[-1], theta)
-    return score, trace[-1], (reason if stuck else None)
+    return trace[-1], g_new, (reason if stuck else None)
 
 
 def em_step(z, net, quantizer, bm, model, eta2, theta_m, cfg):
     """One EM cycle: the E-step at theta_m, then the analog least-squares
     fit of the field to the posterior means."""
-    zmat, eta2v = _check_bits_input(z, net, quantizer, bm, eta2)
-    _, new_theta, failure = _em_map(
-        zmat, net, quantizer, bm, model, eta2v, theta_m.as_array(), cfg,
-        lambda score, tol: np.max(np.abs(score)) < tol,
-    )
-    if new_theta is None:
+    mix = _trial_mixture(z, net, quantizer, bm, eta2)
+    theta = theta_m.as_array()
+    g = model.value(FieldParams.from_array(theta), net.x, net.y)
+    a_val = mix.posterior_means(g, *mix.at(g)[1:])
+    if np.max(np.abs(_em_score(net, model, theta, g, a_val))) < _em_inner_tol(net):
         return theta_m  # already a fixed point
+    new_theta, _, failure = _m_step(net, model, theta, g, a_val, cfg)
     if failure is not None:
         raise EstimationError(f"inner solver failed: {failure}")
     return FieldParams.from_array(new_theta)
@@ -565,43 +630,47 @@ def em_step(z, net, quantizer, bm, model, eta2, theta_m, cfg):
 
 def em_estimate(z, net, quantizer, bm, model, eta2, init, cfg):
     """Full EM run; the trace records the quantized log-likelihood, which is
-    non-decreasing along EM iterates up to roundoff."""
-    zmat, eta2v = _check_bits_input(z, net, quantizer, bm, eta2)
+    non-decreasing along EM iterates up to roundoff.  Each iterate is
+    evaluated once: its field values, level probabilities and mixture
+    maxima give both its log-likelihood and the next E-step."""
+    mix = _trial_mixture(z, net, quantizer, bm, eta2)
     theta = init.as_array().copy()
     if not _theta_ok(theta):
         raise ValueError(f"invalid initial parameters {theta}")
-
-    def loglik(theta_arr):
-        return loglik_quantized(
-            z, net, quantizer, bm, model, FieldParams.from_array(theta_arr), eta2
-        )
-
+    g = model.value(FieldParams.from_array(theta), net.x, net.y)
+    value, p, amax = mix.at(g)
     trace = [theta.copy()]
-    values = [loglik(theta)]
+    values = [value]
     converged = False
     prev_step = None
     stalls = 0
     score_tol = 1e-5 * net.k
-
-    def done(score, _inner_tol):
-        return (prev_step is None or prev_step <= cfg.tol) and np.max(np.abs(score)) < score_tol
-
     for _ in range(cfg.max_outer):
-        score, new_theta, failure = _em_map(
-            zmat, net, quantizer, bm, model, eta2v, theta, cfg, done
-        )
-        if new_theta is None or failure is not None:
-            # done, or the surrogate admits no ascent step at all from here,
-            # which is a stationary point when the score is small
-            converged = new_theta is None or np.max(np.abs(score)) < score_tol
+        a_val = mix.posterior_means(g, p, amax)
+        # the score is needed only after a step within tol, which every
+        # stall below follows too
+        score = None
+        if prev_step is None or prev_step <= cfg.tol:
+            score = _em_score(net, model, theta, g, a_val)
+            if np.max(np.abs(score)) < score_tol:
+                converged = True
+                break
+        new_theta, new_g, failure = _m_step(net, model, theta, g, a_val, cfg)
+        if failure is not None:
+            # the surrogate admits no ascent step at all from here, which is
+            # a stationary point when the score is small
+            if score is None:
+                score = _em_score(net, model, theta, g, a_val)
+            converged = np.max(np.abs(score)) < score_tol
             reason = f"inner:{failure}"  # reported only when not converged
             break
         # a partially maximized surrogate is still a valid step (the ascent
         # property only needs improvement), so keep iterating on progress
         prev_step = float(np.max(np.abs(new_theta - theta)))
-        theta = new_theta
+        theta, g = new_theta, new_g
         trace.append(theta.copy())
-        values.append(loglik(theta))
+        value, p, amax = mix.at(g)
+        values.append(value)
         stalls = stalls + 1 if prev_step <= cfg.tol else 0
         if stalls >= 3 and np.max(np.abs(score)) >= score_tol:
             reason = "stalled"

@@ -129,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError("the quantized channel is estimated by 'em' or 'nr'")
         if any(k < 1 for k in self.k_values):
             raise ConfigError("sensor counts must be >= 1")
+        if not all(math.isfinite(v) for v in self.snr_o_db + self.snr_c_db):
+            raise ConfigError("SNRs must be finite dB values")
         if (
             len(self.snr_o_db) > 1
             and len(self.snr_c_db) > 1

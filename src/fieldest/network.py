@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ObservationVector, level_probabilities
+from .channel import ObservationVector, _positive_finite, level_probabilities
 from .field import Area, field_squared_integral
 from ._quadrature import simpson_nodes_weights
 
@@ -34,8 +34,8 @@ class SensorNetwork:
             raise ValueError(f"positions must be (K, 2), got {pos.shape}")
         if self.sigma2 is not None:
             s = np.broadcast_to(np.asarray(self.sigma2, dtype=float), (pos.shape[0],)).copy()
-            if np.any(s <= 0):
-                raise ValueError("observation-noise variances must be positive")
+            if not _positive_finite(s):
+                raise ValueError("observation-noise variances must be finite and positive")
             object.__setattr__(self, "sigma2", s)
 
     @property

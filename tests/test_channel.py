@@ -156,6 +156,9 @@ def test_level_probabilities_rejects_bad_sigma():
         level_probabilities(q, 1.0, 0.0)
     with pytest.raises(ValueError):
         level_probabilities(q, np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            level_probabilities(q, np.array([1.0, 2.0]), np.array([1.0, bad]))
 
 
 # ------------------------------------------------------------- channels
@@ -237,3 +240,6 @@ def test_received_matrix_validation():
         ReceivedMatrix(z=np.zeros((2, 2, 2)), eta2=np.array(1.0))
     with pytest.raises(ValueError):
         ReceivedMatrix(z=np.zeros(3), eta2=np.array(-1.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ReceivedMatrix(z=np.zeros(3), eta2=np.array([0.5, bad, 0.5]))

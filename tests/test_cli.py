@@ -227,6 +227,13 @@ def test_bad_config_key_exit_code(tmp_path, capsys):
     assert "unknown configuration keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("snr.observation_db", "nan"), ("snr.channel_db", "inf")])
+def test_non_finite_snr_exit_code(tmp_path, capsys, key, value):
+    cfg = _cfg_file(tmp_path, ANALOG_CFG + f"{key} = 15, {value}\n")
+    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "SNRs must be finite" in capsys.readouterr().err
+
+
 def test_out_collision_exit_code(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, ANALOG_CFG)
     blocker = tmp_path / "occupied"

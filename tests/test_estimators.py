@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize
@@ -24,12 +26,14 @@ from fieldest import (
     quantize_forward,
     sample_observations,
 )
+from fieldest import estimators, experiments
 from fieldest.estimators import (
     _ascent_steps,
     _em_quantities_batch,
     _quantized_loglik_derivs,
     _wls_derivs,
 )
+from fieldest.experiments import ExperimentConfig, resolve_cells
 
 from conftest import assert_same_outcome, make_network
 
@@ -130,7 +134,10 @@ def test_batch_rows_with_a_singular_hessian_and_an_invalid_first_step_run_as_alo
         net, z = data[row]
         w = 1.0 / (net.sigma2 + eta2)
         theta = init.as_array()[None]
-        grad, hess = _wls_derivs(GAUSSIAN_BELL, theta, z.z[None], w[None], net.x[None], net.y[None])
+        g = GAUSSIAN_BELL.value(init, net.x, net.y)
+        grad, hess = _wls_derivs(
+            GAUSSIAN_BELL, theta, g[None], z.z[None], w[None], net.x[None], net.y[None]
+        )
         if row == 1:
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.solve(hess, -grad[:, :, None])
@@ -384,3 +391,120 @@ def test_quiet_channel_reduces_to_quantized_ml(truth, area, sigma2_15db):
     # the word residual term survives, but every cross-level term in the
     # mixture is smaller by exp(-O(1/eta2)) and drops out
     assert got == pytest.approx(expected, abs=1e-6)
+
+
+# ------------------------------------------- one evaluation per iterate
+
+
+def _race_trial(m, trial=0):
+    """Trial ``trial`` of the em-nr-race cell (K=40, 15/15 dB, default seed)
+    at M levels: (net, z, quantizer, bm, eta2, init, solver config)."""
+    cfg = ExperimentConfig(channel="quantized", k_values=(40,), m_values=(m,), trials=1)
+    cells, ids = resolve_cells(cfg)
+    calib = experiments._cell_calibration(cfg, cells[0])
+    net, z, init, _ = experiments._trial_inputs(cfg, cells[0], ids[0], trial, calib)
+    return (net, z, *experiments._quantizer(cfg, cells[0]), calib[1], init, cfg.solver)
+
+
+class _CountingModel:
+    """The Gaussian bell, counting calls of each of its three methods (as
+    FieldProbe in benchmarks/layers.py does)."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def _call(self, name, params, x, y):
+        self.calls[name] += 1
+        return getattr(GAUSSIAN_BELL, name)(params, x, y)
+
+    def value(self, params, x, y):
+        return self._call("value", params, x, y)
+
+    def gradient(self, params, x, y):
+        return self._call("gradient", params, x, y)
+
+    def hessian(self, params, x, y):
+        return self._call("hessian", params, x, y)
+
+
+@pytest.mark.parametrize("m", [2, 8])
+@pytest.mark.parametrize("estimator", [em_estimate, nr_estimate_quantized])
+def test_loglik_trace_entries_equal_loglik_quantized(estimator, m):
+    net, z, quantizer, bm, eta2, init, cfg = _race_trial(m)
+    res = estimator(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, init, cfg)
+    assert res.loglik_trace.shape == (len(res.trace),)
+    for row, value in zip(res.trace, res.loglik_trace):
+        again = loglik_quantized(
+            z, net, quantizer, bm, GAUSSIAN_BELL, FieldParams.from_array(row), eta2
+        )
+        assert np.float64(again).tobytes() == value.tobytes()
+
+
+def test_each_quantized_iterate_is_evaluated_once(monkeypatch):
+    counts = Counter()
+
+    def counting(name):
+        real = getattr(estimators, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in ("_bit_distances", "level_probabilities", "_p_slopes"):
+        monkeypatch.setattr(estimators, name, counting(name))
+    net, z, quantizer, bm, eta2, init, cfg = _race_trial(8)
+
+    # NR: an objective evaluation computes the field and the level
+    # probabilities once; the derivatives at the same iterate reuse both
+    model = _CountingModel()
+    nr = nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg)
+    assert nr.converged
+    assert counts["_bit_distances"] == 1
+    assert model.calls["value"] == counts["level_probabilities"] == 12  # 24 when re-evaluated
+    assert model.calls["gradient"] == model.calls["hessian"] == counts["_p_slopes"]
+    assert counts["_p_slopes"] == nr.iterations + 1
+
+    # EM: one evaluation per iterate feeds its log-likelihood and the next
+    # E-step, and the M-step starts from the field values it already has
+    counts.clear()
+    model = _CountingModel()
+    em = em_estimate(z, net, quantizer, bm, model, eta2, init, cfg)
+    assert (em.iterations, em.divergence_reason) == (200, "max_iterations")
+    assert counts["_bit_distances"] == 1
+    assert counts["level_probabilities"] == len(em.trace)
+    assert counts["_p_slopes"] == em.iterations  # one E-step per outer iteration
+    # 1899, 708 and 508 when each iterate was evaluated again by the E-step,
+    # the M-step's start and the derivatives
+    assert model.calls == {"value": 791, "gradient": 509, "hessian": 508}
+
+
+def test_rows_accepting_at_different_halvings_run_as_alone(monkeypatch):
+    """The line search regroups the carried field values when the rows of
+    one iteration accept at different halvings; each row still equals its
+    run alone."""
+    cfg = ExperimentConfig(channel="analog", k_values=(10,), trials=40, crlb_enabled=False)
+    cells, ids = resolve_cells(cfg)
+    calib = experiments._cell_calibration(cfg, cells[0])
+    nets, zs, inits, _ = zip(
+        *(experiments._trial_inputs(cfg, cells[0], ids[0], t, calib) for t in range(cfg.trials))
+    )
+    mixed = []
+    real = estimators._backtrack
+
+    def watching(value_fn, theta, f, ev, step, *rest):
+        out = real(value_fn, theta, f, ev, step, *rest)
+        moved = np.flatnonzero((out[0] != theta).any(axis=1))
+        col = np.abs(step[moved]).argmax(axis=1)
+        ratio = (out[0] - theta)[moved, col] / step[moved, col]
+        mixed.append(len(set(np.rint(np.log2(ratio)).tolist())) > 1)
+        return out
+
+    monkeypatch.setattr(estimators, "_backtrack", watching)
+    batch = newton_ml_analog_batch(zs, nets, GAUSSIAN_BELL, calib[1], inits, cfg.solver)
+    monkeypatch.undo()
+    assert any(mixed)  # precondition: some iteration's rows took different halvings
+    for net, z, init, got in zip(nets, zs, inits, batch):
+        alone = newton_ml_analog(z, net, GAUSSIAN_BELL, calib[1], init, cfg.solver)
+        assert_same_outcome(got, alone)

@@ -39,6 +39,9 @@ def test_network_sigma2_rules(area):
     np.testing.assert_allclose(full.sigma2, np.full(5, 0.25))
     with pytest.raises(ValueError):
         net.with_sigma2(-0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            net.with_sigma2(np.array([0.25, 0.25, bad, 0.25, 0.25]))
     with pytest.raises(ValueError):
         SensorNetwork(np.zeros((3, 3)), area)
 
