@@ -19,6 +19,11 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def q_function(x):
+    """Standard Gaussian tail probability Q(x) = P[N(0,1) > x]."""
+    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
+
+
 def _positive_finite(a):
     """Whether every entry of a is finite and positive (NaN is neither)."""
     return bool(np.all((a > 0) & (a < np.inf)))
@@ -175,10 +180,11 @@ def level_probabilities(q, g, sigma):
     if not _positive_finite(sig):
         raise ValueError("sigma must be finite and positive")
     u = (q.boundaries[None, :] - g_arr[:, None]) / sig[:, None]
-    right = 0.5 * erfc(u / _SQRT2)
+    right = q_function(u)
     p = right[:, :-1] - right[:, 1:]
+    del right  # one (N, M+1) tail table at a time: calibration has N = grid^2
     # cells entirely on the left of g: difference of left-tail values instead
-    left = 0.5 * erfc(-u / _SQRT2)
+    left = q_function(-u)
     p_left = left[:, 1:] - left[:, :-1]
     p = np.where(u[:, 1:] <= 0.0, p_left, p)
     p = np.maximum(p, 0.0)
@@ -204,8 +210,7 @@ def bits_of_level(bm, j):
     j = np.asarray(j)
     if np.any(j < 1) or np.any(j > bm.m):
         raise ValueError(f"level index out of range 1..{bm.m}")
-    word = bm.codebook[j - 1]
-    return word
+    return bm.codebook[j - 1]
 
 
 def amplify_forward(r, eta2, seed):
@@ -224,8 +229,7 @@ def quantize_forward(r, q, bm, eta2, seed):
         raise ValueError(f"quantizer has {q.m} levels but bit mapper expects {bm.m}")
     readings = _as_readings(r)
     eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), readings.shape)
-    levels = quantize(q, readings)
-    words = bm.codebook[levels - 1]
+    words = bits_of_level(bm, quantize(q, readings))
     rng = np.random.default_rng(seed)
     z = words + rng.standard_normal(words.shape) * np.sqrt(eta2v)[:, None]
     return ReceivedMatrix(z=z, eta2=eta2v.copy())

@@ -374,8 +374,10 @@ def _check_quantized_routes(methods, bm, zeta, nodes, k):
 
 def _grid_slabs(bm, eta2, nodes):
     """Yield (E, W) blocks covering the alpha-dimensional Simpson grid over
-    [-6 eta, 1 + 6 eta]^alpha: E has rows exp(-||z - b_j||^2/(2 eta^2)) per
-    grid point and codeword, W the matching tensor-product weights."""
+    [-6 eta, 1 + 6 eta]^alpha in C order: E has rows
+    exp(-||z - b_j||^2/(2 eta^2)) per grid point and codeword, W the matching
+    tensor-product weights.  A block holds whole axis-0 nodes, as many as keep
+    it within 4096 rows, or one node when that alone has more."""
     eta = np.sqrt(eta2)
     z, w = simpson_nodes_weights(-6.0 * eta, 1.0 + 6.0 * eta, nodes)
     table = np.stack(
@@ -383,17 +385,15 @@ def _grid_slabs(bm, eta2, nodes):
     )
     bits = bm.codebook.astype(int)
     factors = [table[:, bits[:, a]] for a in range(bm.alpha)]
-    if bm.alpha == 1:
-        for c0 in range(0, nodes, 4096):  # bounded slabs on long 1-D grids too
-            yield factors[0][c0 : c0 + 4096], w[c0 : c0 + 4096]
-        return
-    e_inner = factors[-1]
-    w_inner = w
-    for a in range(bm.alpha - 2, 0, -1):
+    # the product over axes 1..alpha-1: a single all-ones row when alpha = 1
+    e_inner, w_inner = np.ones((1, bm.m)), np.ones(1)
+    for a in range(bm.alpha - 1, 0, -1):
         e_inner = (factors[a][:, None, :] * e_inner[None, :, :]).reshape(-1, bm.m)
         w_inner = (w[:, None] * w_inner[None, :]).ravel()
-    for i0 in range(nodes):
-        yield factors[0][i0][None, :] * e_inner, w[i0] * w_inner
+    step = max(1, 4096 // w_inner.size)
+    for i0 in range(0, nodes, step):
+        e0, w0 = factors[0][i0 : i0 + step], w[i0 : i0 + step]
+        yield (e0[:, None, :] * e_inner[None]).reshape(-1, bm.m), (w0[:, None] * w_inner).ravel()
 
 
 def _info_simpson(p, dp, bm, eta2, nodes):

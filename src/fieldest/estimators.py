@@ -46,12 +46,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import _p_slopes, level_probabilities
 from .field import FieldParams
-
-_SQRT2 = np.sqrt(2.0)
 
 
 class EstimationError(RuntimeError):
@@ -97,11 +94,6 @@ class EstimateResult:
     converged: bool
     iterations: int
     divergence_reason: str | None = None
-
-
-def q_function(x):
-    """Standard Gaussian tail probability Q(x) = P[N(0,1) > x]."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
 def _theta_ok(theta):
@@ -361,17 +353,6 @@ def _pack_result(trace, values, converged, reason, _last=()):
 # ---------------------------------------------------------------- analog ML
 
 
-def loglik_analog(z, net, model, params, eta2):
-    """Analog-channel log-likelihood -1/2 sum_k (z_k - G_k)^2/(sigma2_k + eta2_k)
-    (additive constants dropped)."""
-    zv = np.asarray(z.z, dtype=float)
-    if zv.ndim != 1 or zv.shape[0] != net.k:
-        raise ValueError("z must be a K-vector matching the network")
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
-    g = model.value(params, net.x, net.y)
-    return float(-0.5 * np.sum((zv - g) ** 2 / (net.sigma2 + eta2v)))
-
-
 def _row_params(theta):
     """Field parameters of the rows of theta (n, 5) for the (n, K) sensor
     arrays: (n, 1) columns, or plain floats for one row, which broadcast the
@@ -381,6 +362,18 @@ def _row_params(theta):
 
 def _wls_objective(g, target, w):
     return -0.5 * (w * (target - g) ** 2).sum(axis=1)
+
+
+def loglik_analog(z, net, model, params, eta2):
+    """Analog-channel log-likelihood -1/2 sum_k w_k (z_k - G_k)^2 with
+    w_k = 1/(sigma2_k + eta2_k), additive constants dropped: the objective
+    that ``newton_ml_analog`` maximises."""
+    zv = np.asarray(z.z, dtype=float)
+    if zv.ndim != 1 or zv.shape[0] != net.k:
+        raise ValueError("z must be a K-vector matching the network")
+    w = 1.0 / (net.sigma2 + np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,)))
+    g = model.value(params, net.x, net.y)
+    return float(_wls_objective(g[None], zv[None], w[None])[0])
 
 
 def _wls_value(model, theta, target, w, x, y):
@@ -527,7 +520,7 @@ def loglik_quantized(z, net, quantizer, bm, model, params, eta2):
 def _nr_value(mix, model, net, theta):
     """NR's objective at one row theta (1, 5), with (g, p, amax) as its
     evaluation."""
-    g = model.value(FieldParams.from_array(theta[0]), net.x, net.y)
+    g = model.value(_row_params(theta), net.x, net.y)
     ll, p, amax = mix.at(g)
     return np.array([ll]), (g[None], p[None], amax[None])
 
@@ -535,7 +528,7 @@ def _nr_value(mix, model, net, theta):
 def _nr_derivs(mix, model, net, theta, g, p, amax):
     """Gradient and Hessian of the quantized log-likelihood at one row theta,
     from its evaluation."""
-    params = FieldParams.from_array(theta[0])
+    params = _row_params(theta)
     d1, d2 = mix.slopes(g[0], p[0], amax[0])
     grads, hesses = model.gradient(params, net.x, net.y), model.hessian(params, net.x, net.y)
     return _chain(d1[None], d2[None], grads[None], hesses[None])
@@ -563,28 +556,17 @@ def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
 # -------------------------------------------------------------------- EM
 
 
-def _em_quantities_batch(zmat, quantizer, bm, g, sigma, eta2v):
-    """Posterior means A_k of every sensor's latent reading under the field
-    values g (see ``_Mixture.posterior_means``)."""
-    mix = _Mixture.of(zmat, quantizer, bm, sigma, eta2v)
-    return mix.posterior_means(g, *mix.at(g)[1:])
-
-
 def em_quantities(z_k, quantizer, bm, g_m, sigma, eta2):
     """Single-sensor EM posterior mean A given the received word z_k, the
-    current field value g_m at the sensor, and the noise levels."""
+    current field value g_m at the sensor, and the noise levels (see
+    ``_Mixture.posterior_means``)."""
     zmat = np.asarray(z_k, dtype=float).reshape(1, -1)
     if zmat.shape[1] != bm.alpha:
         raise ValueError(f"z_k must have alpha={bm.alpha} entries")
-    a_val = _em_quantities_batch(
-        zmat,
-        quantizer,
-        bm,
-        np.atleast_1d(np.asarray(g_m, dtype=float)),
-        np.atleast_1d(np.asarray(sigma, dtype=float)),
-        np.atleast_1d(np.asarray(eta2, dtype=float)),
-    )
-    return float(a_val[0])
+    sigma, eta2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (sigma, eta2))
+    mix = _Mixture.of(zmat, quantizer, bm, sigma, eta2)
+    g = np.atleast_1d(np.asarray(g_m, dtype=float))
+    return float(mix.posterior_means(g, *mix.at(g)[1:])[0])
 
 
 def _em_score(net, model, theta, g, a_val):

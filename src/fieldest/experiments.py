@@ -131,16 +131,7 @@ class ExperimentConfig:
             raise ConfigError("sensor counts must be >= 1")
         if not all(math.isfinite(v) for v in self.snr_o_db + self.snr_c_db):
             raise ConfigError("SNRs must be finite dB values")
-        if (
-            len(self.snr_o_db) > 1
-            and len(self.snr_c_db) > 1
-            and len(self.snr_o_db) != len(self.snr_c_db)
-        ):
-            raise ConfigError(
-                "snr.observation_db and snr.channel_db sweep together; give them "
-                f"equal lengths (or make one a single value), got "
-                f"{len(self.snr_o_db)} and {len(self.snr_c_db)}"
-            )
+        paired_snrs(self.snr_o_db, self.snr_c_db)
         if self.channel == "quantized":
             for m in self.m_values:
                 if m < 2 or (m & (m - 1)) != 0:
@@ -211,7 +202,8 @@ def paired_snrs(snr_o_db, snr_c_db):
         sc = sc * len(so)
     if len(so) != len(sc):
         raise ConfigError(
-            f"cannot pair SNR sweeps of lengths {len(so)} and {len(sc)}"
+            "snr.observation_db and snr.channel_db sweep together; give them "
+            f"equal lengths (or make one a single value), got {len(so)} and {len(sc)}"
         )
     return list(zip(so, sc))
 
@@ -502,7 +494,7 @@ def _cell_crlb(cfg, cell, data_cell_id, calib):
         return None, None
     try:
         (diag,) = _cell_bounds(cfg, cell, data_cell_id, calib, (cfg.crlb_method,)).values()
-    except (SingularFisherError, CompositionGuardError, ValueError) as exc:
+    except ValueError as exc:  # SingularFisherError and CompositionGuardError too
         return None, f"{type(exc).__name__}: {exc}"
     return diag, None
 
@@ -700,27 +692,35 @@ def _cell_stat_rows(cell_row):
     return stats
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="")
+def _cell_key(cell_row):
+    return [_fmt(cell_row.get(c)) for c in _CELL_KEY_COLUMNS]
+
+
+def _write_csv(path, header, rows, what):
+    """Write a header and rows as CSV; a failure names what was written."""
+    path = Path(path)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+    return path
 
 
 def export_report(report, path, fmt="json"):
     """Write the report to one file: full nested JSON, or the per-cell
     statistics CSV (one row per cell and statistic)."""
     path = Path(path)
+    if fmt == "csv":
+        keyed = [(_cell_key(row), row) for row in report["cells"]]
+        rows = (key + [stat, _fmt(v)] for key, row in keyed for stat, v in _cell_stat_rows(row))
+        return _write_csv(path, [*_CELL_KEY_COLUMNS, "statistic", "value"], rows, "report")
+    if fmt != "json":
+        raise ValueError(f"unknown export format {fmt!r}")
     try:
-        if fmt == "json":
-            path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        elif fmt == "csv":
-            with _open_out(path) as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(list(_CELL_KEY_COLUMNS) + ["statistic", "value"])
-                for cell_row in report["cells"]:
-                    key = [_fmt(cell_row.get(c)) for c in _CELL_KEY_COLUMNS]
-                    for stat, value in _cell_stat_rows(cell_row):
-                        writer.writerow(key + [stat, _fmt(value)])
-        else:
-            raise ValueError(f"unknown export format {fmt!r}")
+        path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
     return path
@@ -728,43 +728,20 @@ def export_report(report, path, fmt="json"):
 
 def export_po_csv(report, path):
     """Outlier-probability curves, one row per (cell, tau)."""
-    path = Path(path)
     tau = report["tau_grid"]
-    try:
-        with _open_out(path) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(_CELL_KEY_COLUMNS) + ["tau", "po"])
-            for cell_row in report["cells"]:
-                key = [_fmt(cell_row.get(c)) for c in _CELL_KEY_COLUMNS]
-                po = cell_row.get("po")
-                if po is None:
-                    continue
-                for t, v in zip(tau, po):
-                    writer.writerow(key + [repr(float(t)), repr(float(v))])
-    except OSError as exc:
-        raise OSError(f"cannot write outlier curves to {path}: {exc}") from exc
-    return path
+    keyed = [(_cell_key(row), row["po"]) for row in report["cells"] if row.get("po") is not None]
+    rows = (key + [repr(float(t)), repr(float(v))] for key, po in keyed for t, v in zip(tau, po))
+    return _write_csv(path, [*_CELL_KEY_COLUMNS, "tau", "po"], rows, "outlier curves")
 
 
 def export_trace_csv(record, path):
     """Iterate trace of a single trial: one row per iteration."""
-    path = Path(path)
-    try:
-        with _open_out(path) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration"] + list(PARAM_NAMES) + ["loglik"])
-            if record.result is not None:
-                trace = record.result.trace
-                logliks = record.result.loglik_trace
-                for it in range(trace.shape[0]):
-                    writer.writerow(
-                        [str(it)]
-                        + [repr(float(v)) for v in trace[it]]
-                        + [repr(float(logliks[it]))]
-                    )
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
-    return path
+    res = record.result
+    rows = () if res is None else (
+        [str(it), *(repr(float(v)) for v in row), repr(float(ll))]
+        for it, (row, ll) in enumerate(zip(res.trace, res.loglik_trace))
+    )
+    return _write_csv(path, ["iteration", *PARAM_NAMES, "loglik"], rows, "trace")
 
 
 def load_report(path):

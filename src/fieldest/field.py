@@ -165,21 +165,6 @@ class GaussianBellModel:
 GAUSSIAN_BELL = GaussianBellModel()
 
 
-def field_value(params, x, y, model=GAUSSIAN_BELL):
-    """Field value G(x, y; theta)."""
-    return model.value(params, x, y)
-
-
-def field_gradient(params, x, y, model=GAUSSIAN_BELL):
-    """Gradient of G w.r.t. theta = [h, rho_x, rho_y, x_c, y_c] at (x, y)."""
-    return model.gradient(params, x, y)
-
-
-def field_hessian_theta(params, x, y, model=GAUSSIAN_BELL):
-    """Hessian of G w.r.t. theta at (x, y), shape (..., 5, 5)."""
-    return model.hessian(params, x, y)
-
-
 def field_squared_integral(params, area, grid=201, model=GAUSSIAN_BELL):
     """Integral of G(x, y; theta)^2 over the area by 2-D composite Simpson.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ObservationVector, _positive_finite, level_probabilities
 from .field import Area, field_squared_integral
-from ._quadrature import simpson_nodes_weights
+from ._quadrature import simpson_2d
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +105,11 @@ def calibrate_eta_quantized(model, params, area, quantizer, sigma2, snr_c_db, gr
     grid = int(grid)
     if grid < 11 or grid % 2 == 0:
         raise ValueError(f"grid must be an odd node count >= 11, got {grid}")
-    x, wx = simpson_nodes_weights(area.x_min, area.x_max, grid)
-    y, wy = simpson_nodes_weights(area.y_min, area.y_max, grid)
-    g = model.value(params, x[:, None], y[None, :]).ravel()
-    p = level_probabilities(quantizer, g, np.sqrt(sigma2))
-    power = p @ (quantizer.reproduction**2)
-    mean_power = np.einsum("i,j,ij->", wx, wy, power.reshape(grid, grid)) / area.measure
-    return mean_power / 10.0 ** (snr_c_db / 10.0)
+
+    def power(x, y):
+        g = model.value(params, x, y)
+        p = level_probabilities(quantizer, g.ravel(), np.sqrt(sigma2))
+        return (p @ quantizer.reproduction**2).reshape(g.shape)
+
+    mean_power = simpson_2d(power, area.x_min, area.x_max, area.y_min, area.y_max, grid)
+    return mean_power / area.measure / 10.0 ** (snr_c_db / 10.0)

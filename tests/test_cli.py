@@ -242,6 +242,14 @@ def test_out_collision_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_artifact_exit_code(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, ANALOG_CFG)
+    out = tmp_path / "out"
+    (out / "cells.csv").mkdir(parents=True)
+    assert main(["campaign", "--config", cfg, "--out", str(out)]) == 4
+    assert f"error: cannot write report to {out / 'cells.csv'}: " in capsys.readouterr().err
+
+
 def test_compare_writes_report(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, QUANTIZED_CFG)
     out = tmp_path / "cmp"

@@ -30,6 +30,8 @@ from fieldest import (
     series_term_count,
 )
 
+from fieldest._quadrature import simpson_nodes_weights
+
 from conftest import make_network
 
 
@@ -520,6 +522,32 @@ def test_simpson_guard_refuses_large_grids_up_front(truth, area, monkeypatch):
     # the benchmark's and the demos' grids pass
     for alpha, nodes, k in ((3, 81, 100), (4, 21, 40), (1, 81, 10), (2, 81, 40)):
         crlb_mod._check_simpson_args(BitMapper(alpha), nodes, k)
+
+
+@pytest.mark.parametrize(
+    "alpha, nodes",
+    # per-node slabs of nodes^(alpha-1) rows: below 4096, and for alpha >= 3 above
+    [(1, 21), (1, 4097), (2, 21), (2, 101), (3, 21), (3, 65), (4, 7), (4, 17)],
+)
+def test_grid_slabs_cover_the_tensor_grid_in_c_order(alpha, nodes):
+    bm, eta2 = BitMapper(alpha), 0.3
+    eta = math.sqrt(eta2)
+    blocks = list(crlb_mod._grid_slabs(bm, eta2, nodes))
+    per_node = nodes ** (alpha - 1)
+    for _, w_blk in blocks:  # whole axis-0 nodes, within 4096 rows unless one node has more
+        assert len(w_blk) % per_node == 0
+        assert len(w_blk) <= max(4096, per_node)
+    e_all = np.concatenate([e for e, _ in blocks])
+    w_all = np.concatenate([w for _, w in blocks])
+    assert e_all.shape == (nodes**alpha, bm.m) and w_all.shape == (nodes**alpha,)
+    z, w = simpson_nodes_weights(-6.0 * eta, 1.0 + 6.0 * eta, nodes)
+    e_1d = np.stack([np.exp(-0.5 * z**2 / eta2), np.exp(-0.5 * (z - 1.0) ** 2 / eta2)], axis=1)
+    idx = np.indices((nodes,) * alpha).reshape(alpha, -1)  # C order: axis 0 slowest
+    bits = bm.codebook.astype(int)
+    e_ref = np.prod([e_1d[idx[a]][:, bits[:, a]] for a in range(alpha)], axis=0)
+    w_ref = np.prod([w[idx[a]] for a in range(alpha)], axis=0)
+    np.testing.assert_allclose(e_all, e_ref, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(w_all, w_ref, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])

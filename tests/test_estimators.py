@@ -28,8 +28,8 @@ from fieldest import (
 )
 from fieldest import estimators, experiments
 from fieldest.estimators import (
+    _Mixture,
     _ascent_steps,
-    _em_quantities_batch,
     _quantized_loglik_derivs,
     _wls_derivs,
 )
@@ -322,7 +322,8 @@ def test_em_score_equals_incomplete_data_score(truth, area, quantized_15db, sigm
         np.array([6.5, 2.4, 2.1, 4.8, 3.9]),
     ):
         g = GAUSSIAN_BELL.value(FieldParams.from_array(theta), net.x, net.y)
-        a_val = _em_quantities_batch(z.z, quantizer, bm, g, np.sqrt(net.sigma2), eta2v)
+        mix = _Mixture.of(z.z, quantizer, bm, np.sqrt(net.sigma2), eta2v)
+        a_val = mix.posterior_means(g, *mix.at(g)[1:])
         grads = GAUSSIAN_BELL.gradient(FieldParams.from_array(theta), net.x, net.y)
         em_grad = ((a_val - g) / net.sigma2) @ grads
         ml_grad, _ = _quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
@@ -438,6 +439,24 @@ def test_loglik_trace_entries_equal_loglik_quantized(estimator, m):
             z, net, quantizer, bm, GAUSSIAN_BELL, FieldParams.from_array(row), eta2
         )
         assert np.float64(again).tobytes() == value.tobytes()
+
+
+def test_loglik_analog_is_the_newton_objective():
+    """At every estimate of an analog-sweep cell's batch of 40 trials,
+    loglik_analog repeats the last entry of the trace that Newton maximised,
+    bit for bit."""
+    cfg = ExperimentConfig(channel="analog", k_values=(10, 20, 40, 100), trials=40)
+    cells, ids = resolve_cells(cfg)
+    cell, data_id = cells[2], ids[2]
+    assert cell.k == 40
+    calib = experiments._cell_calibration(cfg, cell)
+    nets, zs, inits, _ = zip(
+        *(experiments._trial_inputs(cfg, cell, data_id, t, calib) for t in range(cfg.trials))
+    )
+    batch = newton_ml_analog_batch(zs, nets, GAUSSIAN_BELL, calib[1], inits, cfg.solver)
+    for net, z, res in zip(nets, zs, batch):
+        again = loglik_analog(z, net, GAUSSIAN_BELL, res.theta_hat, calib[1])
+        assert np.float64(again).tobytes() == res.loglik_trace[-1].tobytes()
 
 
 def test_each_quantized_iterate_is_evaluated_once(monkeypatch):

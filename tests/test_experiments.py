@@ -419,6 +419,22 @@ def test_export_trace_csv(tmp_path):
     assert lines[1].startswith("0,")
 
 
+def test_export_failures_name_the_artifact(tmp_path):
+    cfg = _tiny_analog_cfg()
+    rep, rec = run_campaign(cfg), run_trial(cfg, 0)
+    writers = {
+        "report.json": ("report", lambda path: export_report(rep, path, fmt="json")),
+        "cells.csv": ("report", lambda path: export_report(rep, path, fmt="csv")),
+        "po_curve.csv": ("outlier curves", lambda path: export_po_csv(rep, path)),
+        "trace.csv": ("trace", lambda path: export_trace_csv(rec, path)),
+    }
+    for name, (what, write) in writers.items():
+        target = tmp_path / name
+        target.mkdir()  # a directory where the file should go
+        with pytest.raises(OSError, match=re.escape(f"cannot write {what} to {target}: ")):
+            write(target)
+
+
 def test_parse_config_text():
     text = """
     # campaign shape

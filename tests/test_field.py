@@ -9,10 +9,7 @@ from fieldest import (
     GAUSSIAN_BELL,
     N_PARAMS,
     PARAM_NAMES,
-    field_gradient,
-    field_hessian_theta,
     field_squared_integral,
-    field_value,
 )
 
 
@@ -34,21 +31,22 @@ def test_params_round_trip():
 
 def test_value_peak_and_decay(truth):
     # exact peak value at the center, and the one-sigma contour in each axis
-    assert field_value(truth, 4.0, 4.0) == pytest.approx(8.0, abs=0)
-    assert field_value(truth, 6.0, 4.0) == pytest.approx(8.0 * math.exp(-0.5))
-    assert field_value(truth, 4.0, 2.0) == pytest.approx(8.0 * math.exp(-0.5))
+    assert GAUSSIAN_BELL.value(truth, 4.0, 4.0) == pytest.approx(8.0, abs=0)
+    assert GAUSSIAN_BELL.value(truth, 6.0, 4.0) == pytest.approx(8.0 * math.exp(-0.5))
+    assert GAUSSIAN_BELL.value(truth, 4.0, 2.0) == pytest.approx(8.0 * math.exp(-0.5))
     # symmetric bell: same value at mirrored offsets
-    assert field_value(truth, 5.3, 4.0) == pytest.approx(field_value(truth, 2.7, 4.0))
+    mirrored = GAUSSIAN_BELL.value(truth, 2.7, 4.0)
+    assert GAUSSIAN_BELL.value(truth, 5.3, 4.0) == pytest.approx(mirrored)
 
 
 def test_value_broadcasts(truth):
     xs = np.linspace(0, 8, 7)
     ys = np.linspace(0, 8, 7)
-    vals = field_value(truth, xs, ys)
+    vals = GAUSSIAN_BELL.value(truth, xs, ys)
     assert vals.shape == (7,)
-    grid = field_value(truth, xs[:, None], ys[None, :])
+    grid = GAUSSIAN_BELL.value(truth, xs[:, None], ys[None, :])
     assert grid.shape == (7, 7)
-    assert grid.max() == pytest.approx(field_value(truth, xs[3], ys[3]))
+    assert grid.max() == pytest.approx(GAUSSIAN_BELL.value(truth, xs[3], ys[3]))
 
 
 def _fd_gradient(params, x, y, h=1e-6):
@@ -60,8 +58,8 @@ def _fd_gradient(params, x, y, h=1e-6):
         up[s] += step
         dn[s] -= step
         out[s] = (
-            field_value(FieldParams.from_array(up), x, y)
-            - field_value(FieldParams.from_array(dn), x, y)
+            GAUSSIAN_BELL.value(FieldParams.from_array(up), x, y)
+            - GAUSSIAN_BELL.value(FieldParams.from_array(dn), x, y)
         ) / (2 * step)
     return out
 
@@ -77,7 +75,7 @@ def test_gradient_matches_finite_differences():
             y_c=rng.uniform(1, 7),
         )
         x, y = rng.uniform(0, 8, 2)
-        grad = field_gradient(params, x, y)
+        grad = GAUSSIAN_BELL.gradient(params, x, y)
         fd = _fd_gradient(params, x, y)
         scale = max(np.abs(fd).max(), 1e-8)
         assert np.max(np.abs(grad - fd)) / scale < 1e-6
@@ -94,7 +92,7 @@ def test_hessian_matches_finite_differences():
             y_c=rng.uniform(1, 7),
         )
         x, y = rng.uniform(0, 8, 2)
-        hess = field_hessian_theta(params, x, y)
+        hess = GAUSSIAN_BELL.hessian(params, x, y)
         assert hess.shape == (N_PARAMS, N_PARAMS)
         assert np.allclose(hess, hess.T)
         theta = params.as_array()
@@ -105,8 +103,8 @@ def test_hessian_matches_finite_differences():
             up[s] += step
             dn[s] -= step
             fd[s] = (
-                field_gradient(FieldParams.from_array(up), x, y)
-                - field_gradient(FieldParams.from_array(dn), x, y)
+                GAUSSIAN_BELL.gradient(FieldParams.from_array(up), x, y)
+                - GAUSSIAN_BELL.gradient(FieldParams.from_array(dn), x, y)
             ) / (2 * step)
         scale = max(np.abs(fd).max(), 1e-8)
         # central differences of the analytic gradient: agreement to ~1e-8
@@ -116,8 +114,8 @@ def test_hessian_matches_finite_differences():
 def test_gradient_hessian_broadcast(truth):
     xs = np.linspace(0.5, 7.5, 6)
     ys = np.linspace(1.0, 7.0, 6)
-    assert field_gradient(truth, xs, ys).shape == (6, N_PARAMS)
-    assert field_hessian_theta(truth, xs, ys).shape == (6, N_PARAMS, N_PARAMS)
+    assert GAUSSIAN_BELL.gradient(truth, xs, ys).shape == (6, N_PARAMS)
+    assert GAUSSIAN_BELL.hessian(truth, xs, ys).shape == (6, N_PARAMS, N_PARAMS)
 
 
 def test_area_measure_and_validation():
