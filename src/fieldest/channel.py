@@ -168,9 +168,14 @@ def quantize(q, r):
 def level_probabilities(q, g, sigma):
     """Cell probabilities p_j = P[R in cell j] for R ~ N(g, sigma^2).
 
-    p_j = Q((tau_j - g)/sigma) - Q((tau_{j+1} - g)/sigma).  Both tails are
-    evaluated from their own side of the distribution so tiny probabilities
-    keep relative accuracy, and the total telescopes to 1 within 1e-12.
+    p_j = Q((tau_j - g)/sigma) - Q((tau_{j+1} - g)/sigma).  Each boundary's
+    Gaussian tail is evaluated once, on g's own side of it: with
+    u = (tau - g)/sigma, Q(|u|) is the right tail Q(u) above g and the left
+    tail Q(-u) at or below it.  A cell below g is the difference of its two
+    left tails, a cell above g of its two right tails, and the one cell that
+    straddles g takes one more right tail, at its lower boundary.  So tiny
+    probabilities keep relative accuracy, and the total telescopes to 1
+    within 1e-12.
 
     g may be a scalar (returns shape (M,)) or an (N,) array (returns (N, M));
     sigma is a finite positive scalar or an array broadcastable against g.
@@ -179,30 +184,40 @@ def level_probabilities(q, g, sigma):
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), g_arr.shape)
     if not _positive_finite(sig):
         raise ValueError("sigma must be finite and positive")
-    u = (q.boundaries[None, :] - g_arr[:, None]) / sig[:, None]
-    right = q_function(u)
-    p = right[:, :-1] - right[:, 1:]
-    del right  # one (N, M+1) tail table at a time: calibration has N = grid^2
-    # cells entirely on the left of g: difference of left-tail values instead
-    left = q_function(-u)
-    p_left = left[:, 1:] - left[:, :-1]
-    p = np.where(u[:, 1:] <= 0.0, p_left, p)
-    p = np.maximum(p, 0.0)
+    # boundary-major (M+1, N) tables, so that each elementwise pass runs
+    # along g rather than along a row of a few boundaries
+    u = (q.boundaries[:, None] - g_arr[None, :]) / sig[None, :]
+    below = u <= 0.0  # False where u is NaN, which takes the right tail
+    tail = q_function(np.abs(u))
+    lower, upper = tail[:-1], tail[1:]
+    cells = lower - upper
+    np.subtract(upper, lower, out=cells, where=below[1:])
+    straddle = below[:-1] & ~below[1:]
+    cells[straddle] = q_function(u[:-1][straddle]) - upper[straddle]
+    p = np.empty((g_arr.size, q.m))
+    np.maximum(cells.T, 0.0, out=p)
     if np.isscalar(g) or np.asarray(g).ndim == 0:
         return p[0]
     return p
 
 
-def _p_slopes(q, g, sigma):
-    """First and second derivatives in g_k of the level probabilities of
-    R_k ~ N(g_k, sigma_k^2): returns (dp/dg, d2p/dg2), each (K, M).  The
-    probabilities themselves are ``level_probabilities(q, g, sigma)``."""
+def _p_slope(q, g, sigma):
+    """First derivative dp/dg in g_k of the level probabilities of
+    R_k ~ N(g_k, sigma_k^2), (K, M), with the standardized boundaries
+    u = (tau - g_k)/sigma_k and their density phi(u), each (K, M+1), that
+    ``_p_slopes`` reuses.  The probabilities themselves are
+    ``level_probabilities(q, g, sigma)``."""
     u = (q.boundaries[None, :] - g[:, None]) / sigma[:, None]
     phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+    return (phi[:, :-1] - phi[:, 1:]) / sigma[:, None], u, phi
+
+
+def _p_slopes(q, g, sigma):
+    """First and second derivatives in g_k of the level probabilities of
+    R_k ~ N(g_k, sigma_k^2): returns (dp/dg, d2p/dg2), each (K, M)."""
+    dp_dg, u, phi = _p_slope(q, g, sigma)
     uphi = np.where(np.isfinite(u), u, 0.0) * phi
-    dp_dg = (phi[:, :-1] - phi[:, 1:]) / sigma[:, None]
-    d2p_dg2 = (uphi[:, :-1] - uphi[:, 1:]) / sigma[:, None] ** 2
-    return dp_dg, d2p_dg2
+    return dp_dg, (uphi[:, :-1] - uphi[:, 1:]) / sigma[:, None] ** 2
 
 
 def bits_of_level(bm, j):

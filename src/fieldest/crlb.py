@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .channel import _p_slopes, level_probabilities
+from .channel import _p_slope, _p_slopes, level_probabilities
 from ._quadrature import simpson_nodes_weights
 
 #: refuse series evaluations with more enumerated terms than this
@@ -148,7 +148,7 @@ def _quantized_inputs(net, model, params, quantizer, bm, eta2):
     eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
     g = model.value(params, net.x, net.y)
     sigma = np.sqrt(net.sigma2)
-    p, (dp_dg, _) = level_probabilities(quantizer, g, sigma), _p_slopes(quantizer, g, sigma)
+    p, dp_dg = level_probabilities(quantizer, g, sigma), _p_slope(quantizer, g, sigma)[0]
     return eta2v, p, dp_dg, model.gradient(params, net.x, net.y)
 
 

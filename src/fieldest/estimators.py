@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .channel import _p_slopes, level_probabilities
+from .channel import _p_slope, _p_slopes, level_probabilities
 from .field import FieldParams
 
 
@@ -471,15 +471,19 @@ class _Mixture:
         s = np.exp(a - amax[:, None]).sum(axis=1)
         return float(np.sum(amax + np.log(s))), p, amax
 
-    def slopes(self, g, p, amax):
-        """First and second derivatives l'_k and l''_k at g, given p and
-        amax from ``at(g)``."""
-        dp, d2p = _p_slopes(self.quantizer, g, self.sigma)
+    def _ratios(self, p, amax, *tables):
+        """sum_j s_kj e^{d_kj} / sum_j p_kj e^{d_kj} for each (K, M) table s,
+        given p and amax from ``at(g)``."""
         # exp(d - amax) keeps the mixture sum >= ~1 while the exponent stays modest
         t = np.exp(np.minimum(self.d - amax[:, None], 700.0))
         den = np.einsum("kj,kj->k", p, t)
-        d1 = np.einsum("kj,kj->k", dp, t) / den
-        return d1, np.einsum("kj,kj->k", d2p, t) / den - d1 * d1
+        return [np.einsum("kj,kj->k", s, t) / den for s in tables]
+
+    def slopes(self, g, p, amax):
+        """First and second derivatives l'_k and l''_k at g, given p and
+        amax from ``at(g)``."""
+        d1, ratio2 = self._ratios(p, amax, *_p_slopes(self.quantizer, g, self.sigma))
+        return d1, ratio2 - d1 * d1
 
     def posterior_means(self, g, p, amax):
         """E-step for all sensors at once: A_k, the posterior mean
@@ -488,7 +492,7 @@ class _Mixture:
         the M-step surrogate sum_k (A_k G_k - G_k^2/2)/sigma2_k is the analog
         least-squares objective with A in place of the readings, up to a
         constant."""
-        d1, _ = self.slopes(g, p, amax)
+        (d1,) = self._ratios(p, amax, _p_slope(self.quantizer, g, self.sigma)[0])
         a_val = g + self.sigma * self.sigma * d1
         if not np.all(np.isfinite(a_val)):
             raise EstimationError("a received word has a non-finite posterior mean")

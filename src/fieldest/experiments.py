@@ -49,9 +49,10 @@ from .estimators import (
 )
 from .field import GAUSSIAN_BELL, PARAM_NAMES, Area, FieldParams
 from .network import (
-    calibrate_eta_analog,
+    _analog_eta2,
+    _at_snr,
+    _mean_square,
     calibrate_eta_quantized,
-    calibrate_sigma,
     deploy_uniform,
     sample_observations,
 )
@@ -330,12 +331,14 @@ def _quantizer(cfg, cell):
 
 
 def _cell_calibration(cfg, cell):
-    """Noise variances (sigma2, eta2) for one cell; pure function of the cell."""
-    sigma2 = calibrate_sigma(GAUSSIAN_BELL, cfg.truth, cfg.area, cell.snr_o_db, grid=cfg.grid)
+    """Noise variances (sigma2, eta2) for one cell; pure function of the cell.
+    The field's mean square over the area is integrated once and gives what
+    ``calibrate_sigma`` and, on the analog channel, ``calibrate_eta_analog``
+    return; each of those integrates it again."""
+    mean_sq = _mean_square(GAUSSIAN_BELL, cfg.truth, cfg.area, cfg.grid)
+    sigma2 = _at_snr(mean_sq, cell.snr_o_db)
     if cfg.channel == "analog":
-        eta2 = calibrate_eta_analog(
-            GAUSSIAN_BELL, cfg.truth, cfg.area, sigma2, cell.snr_c_db, grid=cfg.grid
-        )
+        eta2 = _analog_eta2(mean_sq, sigma2, cell.snr_c_db)
     else:
         eta2 = calibrate_eta_quantized(
             GAUSSIAN_BELL,

@@ -80,18 +80,32 @@ def sample_observations(net, model, params, seed):
     return ObservationVector(r)
 
 
+def _mean_square(model, params, area, grid):
+    """The field's mean square value over the area, by 2-D Simpson."""
+    return field_squared_integral(params, area, grid=grid, model=model) / area.measure
+
+
+def _at_snr(power, snr_db):
+    """The noise variance that puts a signal of mean power ``power`` at snr_db."""
+    return power / 10.0 ** (snr_db / 10.0)
+
+
 def calibrate_sigma(model, params, area, snr_o_db, grid=201):
     """Observation-noise variance hitting a target observation SNR (dB):
     sigma2 = mean-square field value over the area / 10^(SNR_O/10)."""
-    mean_sq = field_squared_integral(params, area, grid=grid, model=model) / area.measure
-    return mean_sq / 10.0 ** (snr_o_db / 10.0)
+    return _at_snr(_mean_square(model, params, area, grid), snr_o_db)
+
+
+def _analog_eta2(mean_sq, sigma2, snr_c_db):
+    """The analog channel's noise variance, given the field's mean square:
+    the channel carries the raw reading, whose mean power is mean_sq + sigma2."""
+    return _at_snr(mean_sq + sigma2, snr_c_db)
 
 
 def calibrate_eta_analog(model, params, area, sigma2, snr_c_db, grid=201):
     """Channel-noise variance for the analog channel: the transmitted power is
     the mean square of the raw reading, E[R^2] averaged over the area."""
-    mean_sq = field_squared_integral(params, area, grid=grid, model=model) / area.measure
-    return (mean_sq + sigma2) / 10.0 ** (snr_c_db / 10.0)
+    return _analog_eta2(_mean_square(model, params, area, grid), sigma2, snr_c_db)
 
 
 def calibrate_eta_quantized(model, params, area, quantizer, sigma2, snr_c_db, grid=201):
@@ -101,6 +115,11 @@ def calibrate_eta_quantized(model, params, area, quantizer, sigma2, snr_c_db, gr
     with R ~ N(G(x, y), sigma2); averaging it over the area by the same
     Simpson grid used elsewhere gives the power that the target channel SNR
     divides.  With many levels this approaches the analog calibration.
+
+    The power depends on the point only through G, so it is evaluated once
+    per distinct field value of the grid (a bell centred in the area repeats
+    most of its values by symmetry) and scattered back to the grid before
+    the Simpson sum.  Nothing is kept between calls.
     """
     grid = int(grid)
     if grid < 11 or grid % 2 == 0:
@@ -108,8 +127,9 @@ def calibrate_eta_quantized(model, params, area, quantizer, sigma2, snr_c_db, gr
 
     def power(x, y):
         g = model.value(params, x, y)
-        p = level_probabilities(quantizer, g.ravel(), np.sqrt(sigma2))
-        return (p @ quantizer.reproduction**2).reshape(g.shape)
+        values, index = np.unique(g.ravel(), return_inverse=True)
+        p = level_probabilities(quantizer, values, np.sqrt(sigma2))
+        return (p @ quantizer.reproduction**2)[index].reshape(g.shape)
 
     mean_power = simpson_2d(power, area.x_min, area.x_max, area.y_min, area.y_max, grid)
-    return mean_power / area.measure / 10.0 ** (snr_c_db / 10.0)
+    return _at_snr(mean_power / area.measure, snr_c_db)

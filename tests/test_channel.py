@@ -116,6 +116,30 @@ def test_level_probabilities_against_normal_cdf():
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 16])
+def test_level_probabilities_keep_relative_accuracy_in_the_far_tails(m):
+    """Cells far from g keep their tiny probabilities to 1e-12 relative: each
+    cell is a difference of right tails (norm.sf) above g and of left tails
+    (norm.cdf) at or below it.  g sits far below the quantizer range, far
+    above it, and on a boundary, where the cell above it straddles g."""
+    q = make_uniform_quantizer(m, 0.0, 12.0)
+    sigma = 0.5
+    interior = q.boundaries[1:-1]
+    g = np.array([-6.0, 18.0, interior[0], interior[-1], interior[len(interior) // 2]])
+    p = level_probabilities(q, g, sigma)
+    a = (q.boundaries[None, :-1] - g[:, None]) / sigma
+    b = (q.boundaries[None, 1:] - g[:, None]) / sigma
+    wholly_below = b <= 0.0
+    ref = np.where(wholly_below, norm.cdf(b) - norm.cdf(a), norm.sf(a) - norm.sf(b))
+    assert 0.0 < p.min() < 1e-100  # the far cells are deep in the tails, not zero
+    np.testing.assert_allclose(p, ref, rtol=1e-12, atol=0.0)
+    # on a boundary g belongs to the cell above it, which takes Q(0) = 1/2 at
+    # its lower edge
+    for row, j in ((2, 1), (3, m - 1), (4, len(interior) // 2 + 1)):
+        assert a[row, j] == 0.0 and not wholly_below[row, j]
+        assert p[row, j] == pytest.approx(0.5 - norm.sf(b[row, j]), rel=1e-12)
+
+
 def test_level_probabilities_batch_shape():
     q = make_uniform_quantizer(4, 0.0, 12.0)
     g = np.array([0.0, 4.0, 11.0])

@@ -471,7 +471,7 @@ def test_each_quantized_iterate_is_evaluated_once(monkeypatch):
 
         return call
 
-    for name in ("_bit_distances", "level_probabilities", "_p_slopes"):
+    for name in ("_bit_distances", "level_probabilities", "_p_slopes", "_p_slope"):
         monkeypatch.setattr(estimators, name, counting(name))
     net, z, quantizer, bm, eta2, init, cfg = _race_trial(8)
 
@@ -493,7 +493,8 @@ def test_each_quantized_iterate_is_evaluated_once(monkeypatch):
     assert (em.iterations, em.divergence_reason) == (200, "max_iterations")
     assert counts["_bit_distances"] == 1
     assert counts["level_probabilities"] == len(em.trace)
-    assert counts["_p_slopes"] == em.iterations  # one E-step per outer iteration
+    assert counts["_p_slope"] == em.iterations  # one E-step per outer iteration
+    assert counts["_p_slopes"] == 0  # the E-step needs no second derivatives
     # 1899, 708 and 508 when each iterate was evaluated again by the E-step,
     # the M-step's start and the derivatives
     assert model.calls == {"value": 791, "gradient": 509, "hessian": 508}

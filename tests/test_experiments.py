@@ -36,7 +36,18 @@ from fieldest.experiments import (
     run_trial,
     squared_error,
 )
-from fieldest import FieldParams, GAUSSIAN_BELL, estimators, experiments, newton_ml_analog
+from fieldest import (
+    FieldParams,
+    GAUSSIAN_BELL,
+    calibrate_eta_analog,
+    calibrate_eta_quantized,
+    calibrate_sigma,
+    estimators,
+    experiments,
+    make_uniform_quantizer,
+    network,
+    newton_ml_analog,
+)
 
 from conftest import assert_same_outcome
 
@@ -687,3 +698,37 @@ def test_each_cell_is_calibrated_once(calibration_calls):
     cells, _ = resolve_cells(qcfg)
     compare_em_nr(qcfg)
     assert calibration_calls == cells
+
+
+@pytest.mark.parametrize("channel", ["analog", "quantized"])
+def test_cell_calibration_integrates_the_area_once(channel, monkeypatch):
+    """A cell's noise variances come from one area integral of G^2 and equal,
+    bit for bit, the public calibrations, each of which integrates it."""
+    cfg = ExperimentConfig(
+        channel=channel, k_values=(10,), m_values=(2, 16),
+        snr_o_db=(5.0, 15.0, 25.0), snr_c_db=(25.0, 10.0, 15.0),
+    )
+    cells, _ = resolve_cells(cfg)
+    calls = []
+    real = network.field_squared_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "field_squared_integral", counting)
+    got = [experiments._cell_calibration(cfg, cell) for cell in cells]
+    assert len(calls) == len(cells) == len(got)
+    monkeypatch.undo()
+    for cell, (sigma2, eta2) in zip(cells, got):
+        want_sigma2 = calibrate_sigma(GAUSSIAN_BELL, cfg.truth, cfg.area, cell.snr_o_db)
+        if channel == "analog":
+            want_eta2 = calibrate_eta_analog(
+                GAUSSIAN_BELL, cfg.truth, cfg.area, want_sigma2, cell.snr_c_db
+            )
+        else:
+            quantizer = make_uniform_quantizer(cell.m, cfg.quantizer_lo, cfg.quantizer_hi)
+            want_eta2 = calibrate_eta_quantized(
+                GAUSSIAN_BELL, cfg.truth, cfg.area, quantizer, want_sigma2, cell.snr_c_db
+            )
+        assert (sigma2.hex(), eta2.hex()) == (float(want_sigma2).hex(), float(want_eta2).hex())

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from fieldest import (
     GAUSSIAN_BELL,
+    FieldParams,
     Quantizer,
     SensorNetwork,
     calibrate_eta_analog,
@@ -16,6 +17,8 @@ from fieldest import (
     make_uniform_quantizer,
     sample_observations,
 )
+from fieldest import network
+from fieldest._quadrature import simpson_2d
 
 
 def test_deploy_uniform_bounds_and_determinism(area):
@@ -123,6 +126,38 @@ def test_calibrate_eta_quantized_matches_dblquad(truth, area):
     expected = (val / area.measure) / 10.0**0.7
     got = calibrate_eta_quantized(GAUSSIAN_BELL, truth, area, quantizer, sigma2, 7.0)
     assert got == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("m", [2, 16])
+@pytest.mark.parametrize("centred", [True, False])
+def test_calibrate_eta_quantized_equals_the_full_grid_sum(truth, area, m, centred, monkeypatch):
+    """Evaluating the power once per distinct field value changes no bit: eta2
+    equals the Simpson sum of sum_j nu_j^2 p_j taken at every grid point."""
+    params = truth if centred else FieldParams(8.0, 2.0, 1.7, 3.3, 4.6)
+    quantizer = make_uniform_quantizer(m, 0.0, 12.0)
+    sigma2 = calibrate_sigma(GAUSSIAN_BELL, params, area, 15.0)
+
+    def power(x, y):
+        g = GAUSSIAN_BELL.value(params, x, y)
+        p = level_probabilities(quantizer, g.ravel(), np.sqrt(sigma2))
+        return (p @ quantizer.reproduction**2).reshape(g.shape)
+
+    full = simpson_2d(power, area.x_min, area.x_max, area.y_min, area.y_max, 201)
+    expected = full / area.measure / 10.0**1.5
+    rows = []
+
+    def counting(q, g, sigma):
+        rows.append(np.size(g))
+        return level_probabilities(q, g, sigma)
+
+    monkeypatch.setattr(network, "level_probabilities", counting)
+    got = calibrate_eta_quantized(GAUSSIAN_BELL, params, area, quantizer, sigma2, 15.0)
+    assert float(got).hex() == float(expected).hex()
+    assert len(rows) == 1
+    if centred:  # the bell centred in the square repeats values by symmetry
+        assert rows == [7192]
+    else:
+        assert rows[0] < 201 * 201
 
 
 def test_calibrate_eta_quantized_many_levels_approach_analog(truth, area):
