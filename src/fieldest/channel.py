@@ -177,16 +177,16 @@ def level_probabilities(q, g, sigma):
     probabilities keep relative accuracy, and the total telescopes to 1
     within 1e-12.
 
-    g may be a scalar (returns shape (M,)) or an (N,) array (returns (N, M));
-    sigma is a finite positive scalar or an array broadcastable against g.
+    g may have any shape S (returns S + (M,)); sigma is finite and positive,
+    a scalar or an array broadcastable against g.
     """
-    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
+    g_arr = np.asarray(g, dtype=float)
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), g_arr.shape)
     if not _positive_finite(sig):
         raise ValueError("sigma must be finite and positive")
     # boundary-major (M+1, N) tables, so that each elementwise pass runs
     # along g rather than along a row of a few boundaries
-    u = (q.boundaries[:, None] - g_arr[None, :]) / sig[None, :]
+    u = (q.boundaries[:, None] - g_arr.reshape(1, -1)) / sig.reshape(1, -1)
     below = u <= 0.0  # False where u is NaN, which takes the right tail
     tail = q_function(np.abs(u))
     lower, upper = tail[:-1], tail[1:]
@@ -196,28 +196,26 @@ def level_probabilities(q, g, sigma):
     cells[straddle] = q_function(u[:-1][straddle]) - upper[straddle]
     p = np.empty((g_arr.size, q.m))
     np.maximum(cells.T, 0.0, out=p)
-    if np.isscalar(g) or np.asarray(g).ndim == 0:
-        return p[0]
-    return p
+    return p.reshape(g_arr.shape + (q.m,))
 
 
 def _p_slope(q, g, sigma):
-    """First derivative dp/dg in g_k of the level probabilities of
-    R_k ~ N(g_k, sigma_k^2), (K, M), with the standardized boundaries
-    u = (tau - g_k)/sigma_k and their density phi(u), each (K, M+1), that
-    ``_p_slopes`` reuses.  The probabilities themselves are
-    ``level_probabilities(q, g, sigma)``."""
-    u = (q.boundaries[None, :] - g[:, None]) / sigma[:, None]
+    """First derivative dp/dg in g of the level probabilities of
+    R ~ N(g, sigma^2), for field values g and spreads sigma of one shape S:
+    dp/dg (S + (M,)), with the standardized boundaries u = (tau - g)/sigma
+    and their density phi(u), each S + (M+1,), that ``_p_slopes`` reuses.
+    The probabilities themselves are ``level_probabilities(q, g, sigma)``."""
+    u = (q.boundaries - g[..., None]) / sigma[..., None]
     phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
-    return (phi[:, :-1] - phi[:, 1:]) / sigma[:, None], u, phi
+    return (phi[..., :-1] - phi[..., 1:]) / sigma[..., None], u, phi
 
 
 def _p_slopes(q, g, sigma):
-    """First and second derivatives in g_k of the level probabilities of
-    R_k ~ N(g_k, sigma_k^2): returns (dp/dg, d2p/dg2), each (K, M)."""
+    """First and second derivatives in g of the level probabilities of
+    R ~ N(g, sigma^2): returns (dp/dg, d2p/dg2), each S + (M,)."""
     dp_dg, u, phi = _p_slope(q, g, sigma)
     uphi = np.where(np.isfinite(u), u, 0.0) * phi
-    return dp_dg, (uphi[:, :-1] - uphi[:, 1:]) / sigma[:, None] ** 2
+    return dp_dg, (uphi[..., :-1] - uphi[..., 1:]) / sigma[..., None] ** 2
 
 
 def bits_of_level(bm, j):

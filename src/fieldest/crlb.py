@@ -354,9 +354,12 @@ def _check_simpson_args(bm, nodes, k):
     if size > SIMPSON_GUARD:
         top = int((SIMPSON_GUARD / (bm.m + k)) ** (1.0 / bm.alpha) + 1e-9)
         top -= 1 - top % 2  # the largest odd node count within the guard
+        hint = f"crlb.nodes <= {top} passes the guard"
+        if top < 21:
+            hint = f"no allowed node count (odd, >= 21) fits M = {bm.m} and K = {k}"
         raise CompositionGuardError(
             f"Simpson grid of crlb.nodes={nodes}: {nodes}^{bm.alpha} x (M + K = {bm.m + k}) "
-            f"= {size} (guard: {SIMPSON_GUARD}); crlb.nodes <= {top} passes the guard"
+            f"= {size} (guard: {SIMPSON_GUARD}); {hint}"
         )
     return nodes
 

@@ -22,9 +22,9 @@ line search keeps a mask of the rows still searching.  A row leaves the
 working set when it converges, stalls, fails or hits the cap, and the set is
 compacted only then.  Each row's arithmetic is the same as if it ran alone,
 so a trial's estimate does not depend on the batch it ran in, bit for bit.
-``newton_ml_analog_batch`` runs T analog trials as one batch and
-``newton_ml_analog`` is a batch of one; the EM M-step and NR keep their
-per-trial outer loops and run the core with T = 1.
+Every estimator takes a stack of trials with the same sensor count
+(``newton_ml_analog_batch``, ``nr_estimate_quantized_batch``,
+``em_estimate_batch``); the single-trial functions are batches of one.
 
 Nothing is evaluated twice at one iterate.  The core's objective returns,
 beside each row's value, its evaluation (the field values g, and for the
@@ -235,9 +235,10 @@ def _damped_newton_ascent(
     through the line search and the working set, so no iterate is evaluated
     twice; ``start`` gives (f, evaluation) at theta0 when the caller already
     has them.  Convergence means the gradient sup-norm fell below grad_tol
-    with the last step within tol.  A row leaves the working set when it
-    converges, fails, stalls or reaches max_iter; the set is compacted only
-    then, and every row's arithmetic is the same as if it ran alone.
+    (one value, or one per row) with the last step within tol.  A row leaves
+    the working set when it converges, fails, stalls or reaches max_iter;
+    the set is compacted only then, and every row's arithmetic is the same
+    as if it ran alone.
     Returns, per row, (trace, values, converged, reason, the evaluation at
     its last iterate).
     """
@@ -250,8 +251,9 @@ def _damped_newton_ascent(
     lasts = [()] * n_rows
     f, ev = value_fn(theta, *data) if start is None else start
     log = [(rows, theta, f)]
-    # per-row scalars: the last step's sup-norm (0 before the first step, so
-    # the step test passes) and the run of steps within tol
+    # per-row scalars: grad_tol, the last step's sup-norm (0 before the first
+    # step, so the step test passes) and the run of steps within tol
+    tols = np.broadcast_to(grad_tol, (n_rows,)).tolist()
     last_delta = [0.0] * n_rows
     stalls = [0] * n_rows
 
@@ -259,7 +261,7 @@ def _damped_newton_ascent(
         """Record the rows with a non-zero end code and their last
         evaluation, drop them from the working set and return extra without
         them."""
-        nonlocal rows, theta, f, ev, last_delta, stalls, data
+        nonlocal rows, theta, f, ev, tols, last_delta, stalls, data
         for i, (r, code) in enumerate(zip(rows.tolist(), end)):
             if code:
                 ends[r] = code
@@ -270,6 +272,7 @@ def _damped_newton_ascent(
             return extra
         rows, theta, f = rows[keep], theta[keep], f[keep]
         ev = tuple(a[keep] for a in ev)
+        tols = [tols[i] for i in keep]
         last_delta = [last_delta[i] for i in keep]
         stalls = [stalls[i] for i in keep]
         data = tuple(a[keep] for a in data)
@@ -286,8 +289,8 @@ def _damped_newton_ascent(
         hfin = np.isfinite(hess).all(axis=(1, 2)).tolist()
         end = [
             _NONFINITE_D if not (ok and math.isfinite(g))
-            else _CONVERGED if g < grad_tol and d <= cfg.tol else 0
-            for g, ok, d in zip(gmax, hfin, last_delta)
+            else _CONVERGED if g < tol and d <= cfg.tol else 0
+            for g, ok, tol, d in zip(gmax, hfin, tols, last_delta)
         ]
         if any(end):
             grad, hess = settle(end, grad, hess)
@@ -368,12 +371,9 @@ def loglik_analog(z, net, model, params, eta2):
     """Analog-channel log-likelihood -1/2 sum_k w_k (z_k - G_k)^2 with
     w_k = 1/(sigma2_k + eta2_k), additive constants dropped: the objective
     that ``newton_ml_analog`` maximises."""
-    zv = np.asarray(z.z, dtype=float)
-    if zv.ndim != 1 or zv.shape[0] != net.k:
-        raise ValueError("z must be a K-vector matching the network")
-    w = 1.0 / (net.sigma2 + np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,)))
-    g = model.value(params, net.x, net.y)
-    return float(_wls_objective(g[None], zv[None], w[None])[0])
+    zv, sigma2, x, y = _check_trials([z.z], [net])
+    w = 1.0 / (sigma2 + np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,)))
+    return float(_wls_objective(model.value(params, x, y), zv, w)[0])
 
 
 def _wls_value(model, theta, target, w, x, y):
@@ -405,25 +405,34 @@ def _wls_ascent(target, w, x, y, model, theta0, cfg, grad_tol, max_iter, stall_l
     )
 
 
+def _check_trials(zs, nets, word=()):
+    """The received data zs (arrays) of a batch of trials, each checked
+    against its network, stacked as rows: z (T, K) + word, where word is
+    (alpha,) for bit words, and sigma2, x, y (T, K)."""
+    for z, net in zip(zs, nets, strict=True):
+        if np.shape(z) != (net.k, *word):
+            raise ValueError(
+                "z must be a K-vector matching the network: "
+                f"expected shape {(net.k, *word)}, got {np.shape(z)}"
+            )
+        if net.sigma2 is None:
+            raise ValueError("network has no calibrated sigma2")
+        if net.k != nets[0].k:
+            raise ValueError("the trials of a batch must share the sensor count")
+    sigma2, x, y = (np.array([getattr(net, a) for net in nets]) for a in ("sigma2", "x", "y"))
+    return np.array(zs, dtype=float), sigma2, x, y
+
+
 def newton_ml_analog_batch(zs, nets, model, eta2, inits, cfg):
     """ML estimates of T analog-channel trials with the same sensor count K,
     by one damped Newton ascent over the stack.  Returns each trial's
     EstimateResult, in trial order; each equals ``newton_ml_analog`` on that
     trial alone, bit for bit."""
-    k = nets[0].k
-    for z, net in zip(zs, nets, strict=True):
-        if np.shape(z.z) != (net.k,):
-            raise ValueError("z must be a K-vector matching the network")
-        if net.sigma2 is None:
-            raise ValueError("network has no calibrated sigma2")
-        if net.k != k:
-            raise ValueError("the trials of a batch must share the sensor count")
-    zv = np.array([z.z for z in zs], dtype=float)
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (k,))
-    w = 1.0 / (np.array([net.sigma2 for net in nets]) + eta2v)
+    zv, sigma2, x, y = _check_trials([z.z for z in zs], nets)
+    k = zv.shape[1]
+    w = 1.0 / (sigma2 + np.broadcast_to(np.asarray(eta2, dtype=float), (k,)))
     outcomes = _wls_ascent(
-        zv, w, np.array([net.x for net in nets]), np.array([net.y for net in nets]), model,
-        np.array([init.as_array() for init in inits]), cfg,
+        zv, w, x, y, model, np.array([init.as_array() for init in inits]), cfg,
         grad_tol=1e-4 * k, max_iter=cfg.max_outer, stall_limit=3,
     )
     return [_pack_result(*out) for out in outcomes]
@@ -439,122 +448,101 @@ def newton_ml_analog(z, net, model, eta2, init, cfg):
 
 
 def _bit_distances(zmat, codebook, eta2v):
-    """(K, M) array of -||z_k - b_j||^2 / (2 eta2_k)."""
-    diff = zmat[:, None, :] - codebook[None, :, :]
-    return -np.einsum("kja,kja->kj", diff, diff) / (2.0 * eta2v[:, None])
+    """(T, K, M) array of -||z_tk - b_j||^2 / (2 eta2_k) for words z (T, K, alpha)."""
+    diff = zmat[..., None, :] - codebook
+    return -np.einsum("tkja,tkja->tkj", diff, diff) / (2.0 * eta2v[:, None])
 
 
-@dataclass(frozen=True, eq=False)
-class _Mixture:
-    """One trial's quantized log-likelihood as a function of the field
-    values g: sum_k l_k(g_k) with l_k(g) = log sum_j p_j(g; sigma_k) e^{d_kj},
-    where d holds the trial's ``_bit_distances``, computed once."""
-
-    quantizer: object
-    sigma: np.ndarray
-    d: np.ndarray
-
-    @classmethod
-    def of(cls, zmat, quantizer, bm, sigma, eta2v):
-        return cls(quantizer, sigma, _bit_distances(zmat, bm.codebook, eta2v))
-
-    def at(self, g):
-        """(sum_k l_k, p, amax) at the field values g, stabilized by
-        max-subtraction: the level probabilities p and the row maxima amax
-        of log p + d are the evaluation that the slopes at g reuse."""
-        p = level_probabilities(self.quantizer, g, self.sigma)
-        with np.errstate(divide="ignore"):
-            a = np.log(p) + self.d
-        amax = np.max(a, axis=1)
-        if not np.all(np.isfinite(amax)):
-            raise EstimationError("a received word has zero mixture mass at every level")
-        s = np.exp(a - amax[:, None]).sum(axis=1)
-        return float(np.sum(amax + np.log(s))), p, amax
-
-    def _ratios(self, p, amax, *tables):
-        """sum_j s_kj e^{d_kj} / sum_j p_kj e^{d_kj} for each (K, M) table s,
-        given p and amax from ``at(g)``."""
-        # exp(d - amax) keeps the mixture sum >= ~1 while the exponent stays modest
-        t = np.exp(np.minimum(self.d - amax[:, None], 700.0))
-        den = np.einsum("kj,kj->k", p, t)
-        return [np.einsum("kj,kj->k", s, t) / den for s in tables]
-
-    def slopes(self, g, p, amax):
-        """First and second derivatives l'_k and l''_k at g, given p and
-        amax from ``at(g)``."""
-        d1, ratio2 = self._ratios(p, amax, *_p_slopes(self.quantizer, g, self.sigma))
-        return d1, ratio2 - d1 * d1
-
-    def posterior_means(self, g, p, amax):
-        """E-step for all sensors at once: A_k, the posterior mean
-        E[R_k | z_k] of the latent reading under the field values g, which
-        is g_k + sigma_k^2 l'_k.  The posterior mass is 1 by construction, so
-        the M-step surrogate sum_k (A_k G_k - G_k^2/2)/sigma2_k is the analog
-        least-squares objective with A in place of the readings, up to a
-        constant."""
-        (d1,) = self._ratios(p, amax, _p_slope(self.quantizer, g, self.sigma)[0])
-        a_val = g + self.sigma * self.sigma * d1
-        if not np.all(np.isfinite(a_val)):
-            raise EstimationError("a received word has a non-finite posterior mean")
-        return a_val
-
-
-def _trial_mixture(z, net, quantizer, bm, eta2):
-    """The mixture of one trial's received words z, checked against the
-    network and the quantizer."""
-    zmat = np.asarray(z.z, dtype=float)
-    if zmat.ndim != 2 or zmat.shape != (net.k, bm.alpha):
-        raise ValueError(f"z must be (K, alpha) = ({net.k}, {bm.alpha}), got {zmat.shape}")
+def _quantized_rows(zs, nets, quantizer, bm, eta2):
+    """The per-row data (d, sigma, x, y) of a batch of quantized trials with
+    received words zs (arrays), each (T, K) but d (T, K, M), and sigma2."""
     if quantizer.m != bm.m:
         raise ValueError("quantizer and bit mapper disagree on the level count")
-    if net.sigma2 is None:
-        raise ValueError("network has no calibrated sigma2")
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
-    return _Mixture.of(zmat, quantizer, bm, np.sqrt(net.sigma2), eta2v)
+    zv, sigma2, x, y = _check_trials(zs, nets, (bm.alpha,))
+    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (zv.shape[1],))
+    return (_bit_distances(zv, bm.codebook, eta2v), np.sqrt(sigma2), x, y), sigma2
+
+
+def _mixture_at(quantizer, g, d, sigma):
+    """The quantized log-likelihoods sum_k l_k(g_k) of a stack of trials at
+    field values g (T, K), with l_k(g) = log sum_j p_j(g; sigma_k) e^{d_kj}
+    and d the trials' ``_bit_distances``; returns them with the level
+    probabilities p and the maxima amax over j of log p + d, the evaluation
+    that the slopes at g reuse.  Stabilized by max-subtraction."""
+    p = level_probabilities(quantizer, g, sigma)
+    with np.errstate(divide="ignore"):
+        a = np.log(p) + d
+    amax = np.max(a, axis=2)
+    if not _all(np.isfinite(amax)):
+        raise EstimationError("a received word has zero mixture mass at every level")
+    s = np.exp(a - amax[:, :, None]).sum(axis=2)
+    return (amax + np.log(s)).sum(axis=1), p, amax
+
+
+def _ratios(d, p, amax, *tables):
+    """sum_j s_tkj e^{d_tkj} / sum_j p_tkj e^{d_tkj} for each (T, K, M) table
+    s, given p and amax from ``_mixture_at``."""
+    # exp(d - amax) keeps the mixture sum >= ~1 while the exponent stays modest
+    t = np.exp(np.minimum(d - amax[:, :, None], 700.0))
+    den = np.einsum("tkj,tkj->tk", p, t)
+    return [np.einsum("tkj,tkj->tk", s, t) / den for s in tables]
+
+
+def _posterior_means(quantizer, g, p, amax, d, sigma):
+    """E-step for every sensor of every row: A_tk, the posterior mean
+    E[R_tk | z_tk] of the latent reading under the field values g, which is
+    g + sigma^2 l'.  The posterior mass is 1 by construction, so the M-step
+    surrogate sum_k (A_k G_k - G_k^2/2)/sigma2_k is the analog least-squares
+    objective with A in place of the readings, up to a constant."""
+    (d1,) = _ratios(d, p, amax, _p_slope(quantizer, g, sigma)[0])
+    a_val = g + sigma * sigma * d1
+    if not _all(np.isfinite(a_val)):
+        raise EstimationError("a received word has a non-finite posterior mean")
+    return a_val
 
 
 def loglik_quantized(z, net, quantizer, bm, model, params, eta2):
     """Quantized-channel log-likelihood
     sum_k log sum_j p_kj(theta) exp(-||z_k - b_j||^2/(2 eta2_k)),
     stabilized by max-subtraction; additive constants dropped."""
-    mix = _trial_mixture(z, net, quantizer, bm, eta2)
-    return mix.at(model.value(params, net.x, net.y))[0]
+    (d, sigma, x, y), _ = _quantized_rows([z.z], [net], quantizer, bm, eta2)
+    return float(_mixture_at(quantizer, model.value(params, x, y), d, sigma)[0][0])
 
 
-def _nr_value(mix, model, net, theta):
-    """NR's objective at one row theta (1, 5), with (g, p, amax) as its
+def _nr_value(quantizer, model, theta, d, sigma, x, y):
+    """NR's objectives at the rows of theta, with (g, p, amax) as their
     evaluation."""
-    g = model.value(_row_params(theta), net.x, net.y)
-    ll, p, amax = mix.at(g)
-    return np.array([ll]), (g[None], p[None], amax[None])
+    g = model.value(_row_params(theta), x, y)
+    ll, p, amax = _mixture_at(quantizer, g, d, sigma)
+    return ll, (g, p, amax)
 
 
-def _nr_derivs(mix, model, net, theta, g, p, amax):
-    """Gradient and Hessian of the quantized log-likelihood at one row theta,
-    from its evaluation."""
+def _nr_derivs(quantizer, model, theta, g, p, amax, d, sigma, x, y):
+    """Gradients and Hessians of the quantized log-likelihood at the rows of
+    theta, from their evaluation: l'_k and l''_k lifted by the chain rule."""
     params = _row_params(theta)
-    d1, d2 = mix.slopes(g[0], p[0], amax[0])
-    grads, hesses = model.gradient(params, net.x, net.y), model.hessian(params, net.x, net.y)
-    return _chain(d1[None], d2[None], grads[None], hesses[None])
+    d1, ratio2 = _ratios(d, p, amax, *_p_slopes(quantizer, g, sigma))
+    return _chain(d1, ratio2 - d1 * d1, model.gradient(params, x, y), model.hessian(params, x, y))
 
 
-def _quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2v, theta):
-    """Gradient and Hessian of the quantized log-likelihood at theta."""
-    mix = _Mixture.of(zmat, quantizer, bm, np.sqrt(net.sigma2), eta2v)
-    theta = np.asarray(theta, dtype=float)[None]
-    grad, hess = _nr_derivs(mix, model, net, theta, *_nr_value(mix, model, net, theta)[1])
-    return grad[0], hess[0]
+def nr_estimate_quantized_batch(zs, nets, quantizer, bm, model, eta2, inits, cfg):
+    """Newton-Raphson ascent on the quantized log-likelihoods of T trials
+    with the same sensor count K, as one damped Newton ascent over the stack.
+    Returns each trial's EstimateResult, in trial order; each equals
+    ``nr_estimate_quantized`` on that trial alone, bit for bit."""
+    data, _ = _quantized_rows([z.z for z in zs], nets, quantizer, bm, eta2)
+    outcomes = _damped_newton_ascent(
+        partial(_nr_value, quantizer, model), partial(_nr_derivs, quantizer, model),
+        np.array([init.as_array() for init in inits]), data, cfg,
+        grad_tol=1e-4 * nets[0].k, max_iter=cfg.max_outer,
+    )
+    return [_pack_result(*out) for out in outcomes]
 
 
 def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
-    """Newton-Raphson ascent directly on the quantized log-likelihood, as a
-    batch of one."""
-    mix = _trial_mixture(z, net, quantizer, bm, eta2)
-    out = _damped_newton_ascent(
-        partial(_nr_value, mix, model, net), partial(_nr_derivs, mix, model, net),
-        init.as_array()[None], (), cfg, grad_tol=1e-4 * net.k, max_iter=cfg.max_outer,
-    )
-    return _pack_result(*out[0])
+    """Newton-Raphson ascent on the quantized log-likelihood, as a batch of one."""
+    (result,) = nr_estimate_quantized_batch([z], [net], quantizer, bm, model, eta2, [init], cfg)
+    return result
 
 
 # -------------------------------------------------------------------- EM
@@ -563,104 +551,104 @@ def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
 def em_quantities(z_k, quantizer, bm, g_m, sigma, eta2):
     """Single-sensor EM posterior mean A given the received word z_k, the
     current field value g_m at the sensor, and the noise levels (see
-    ``_Mixture.posterior_means``)."""
-    zmat = np.asarray(z_k, dtype=float).reshape(1, -1)
-    if zmat.shape[1] != bm.alpha:
+    ``_posterior_means``)."""
+    zmat = np.asarray(z_k, dtype=float).reshape(1, 1, -1)
+    if zmat.shape[2] != bm.alpha:
         raise ValueError(f"z_k must have alpha={bm.alpha} entries")
-    sigma, eta2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (sigma, eta2))
-    mix = _Mixture.of(zmat, quantizer, bm, sigma, eta2)
-    g = np.atleast_1d(np.asarray(g_m, dtype=float))
-    return float(mix.posterior_means(g, *mix.at(g)[1:])[0])
+    g, sigma, eta2 = (np.asarray(v, dtype=float).reshape(1, 1) for v in (g_m, sigma, eta2))
+    d = _bit_distances(zmat, bm.codebook, eta2[0])
+    _, p, amax = _mixture_at(quantizer, g, d, sigma)
+    return float(_posterior_means(quantizer, g, p, amax, d, sigma)[0, 0])
 
 
-def _em_score(net, model, theta, g, a_val):
-    """The M-step score at theta, sum_k (A_k - g_k)/sigma2_k grad G_k, which
-    equals the incomplete-data score there."""
-    return (1.0 / net.sigma2 * (a_val - g)) @ model.gradient(
-        FieldParams.from_array(theta), net.x, net.y
-    )
+def em_estimate_batch(zs, nets, quantizer, bm, model, eta2, inits, cfg):
+    """Full EM runs of T trials with the same sensor count: each outer
+    iteration makes one E-step call and one core call for the M-steps (the
+    analog least-squares fits to the posterior means) of the trials still
+    running.  Each trace records the quantized log-likelihood, which EM does
+    not decrease beyond roundoff.  Each result equals ``em_estimate`` on that
+    trial alone, bit for bit."""
+    (d, sigma, x, y), sigma2 = _quantized_rows([z.z for z in zs], nets, quantizer, bm, eta2)
+    theta = np.array([init.as_array() for init in inits], dtype=float)
+    if not _all(_theta_ok(theta)):
+        raise ValueError(f"invalid initial parameters {theta[~_theta_ok(theta)][0]}")
+    n, k = x.shape
+    w = 1.0 / sigma2
+    inner_tol = 1e-7 * k * np.maximum(1.0, np.mean(w, axis=1))
+    score_tol = 1e-5 * k
 
+    def score_max(rows, a_val):
+        """max |score| of the rows at theta: the M-step score
+        sum_k w_k (A_k - g_k) grad G_k equals the incomplete-data score."""
+        grads = model.gradient(_row_params(theta[rows]), x[rows], y[rows])
+        score = np.matmul((w[rows] * (a_val - g[rows]))[:, None, :], grads)[:, 0]
+        return np.abs(score).max(axis=1)
 
-def _em_inner_tol(net):
-    return 1e-7 * net.k * max(1.0, float(np.mean(1.0 / net.sigma2)))
-
-
-def _m_step(net, model, theta, g, a_val, cfg):
-    """The analog least-squares fit of the field to the posterior means A,
-    from theta with field values g.  Returns (the new theta, its field
-    values, the inner solver's reason if it found no ascent step at all,
-    else None)."""
-    w = 1.0 / net.sigma2
-    ((trace, _, _, reason, (g_new,)),) = _wls_ascent(
-        a_val[None], w[None], net.x[None], net.y[None], model, theta[None], cfg,
-        _em_inner_tol(net), cfg.max_inner, stall_limit=1, g0=g[None],
-    )
-    stuck = reason not in (None, "stalled", "max_iterations") and np.array_equal(trace[-1], theta)
-    return trace[-1], g_new, (reason if stuck else None)
-
-
-def em_step(z, net, quantizer, bm, model, eta2, theta_m, cfg):
-    """One EM cycle: the E-step at theta_m, then the analog least-squares
-    fit of the field to the posterior means."""
-    mix = _trial_mixture(z, net, quantizer, bm, eta2)
-    theta = theta_m.as_array()
-    g = model.value(FieldParams.from_array(theta), net.x, net.y)
-    a_val = mix.posterior_means(g, *mix.at(g)[1:])
-    if np.max(np.abs(_em_score(net, model, theta, g, a_val))) < _em_inner_tol(net):
-        return theta_m  # already a fixed point
-    new_theta, _, failure = _m_step(net, model, theta, g, a_val, cfg)
-    if failure is not None:
-        raise EstimationError(f"inner solver failed: {failure}")
-    return FieldParams.from_array(new_theta)
+    g = model.value(_row_params(theta), x, y)
+    values, p, amax = _mixture_at(quantizer, g, d, sigma)
+    traces = [[row.copy()] for row in theta]
+    logliks = [[v] for v in values.tolist()]
+    # per row: the last step's sup-norm (0 before the first, so the first
+    # score is computed), the run of steps within tol, and how it ended (the
+    # reason is reported only when not converged)
+    last_delta, stalls = np.zeros(n), np.zeros(n, dtype=int)
+    converged, reasons = np.zeros(n, dtype=bool), ["max_iterations"] * n
+    run = np.arange(n)
+    for _ in range(cfg.max_outer):
+        a_val = _posterior_means(quantizer, g[run], p[run], amax[run], d[run], sigma[run])
+        # the score is needed only after a step within tol, which every
+        # stall below follows too
+        scored = last_delta[run] <= cfg.tol
+        smax = np.full(len(run), np.nan)
+        if _any(scored):
+            smax[scored] = score_max(run[scored], a_val[scored])
+        done = smax < score_tol
+        converged[run[done]] = True
+        run, a_val, smax, scored = run[~done], a_val[~done], smax[~done], scored[~done]
+        if not len(run):
+            break
+        outcomes = _wls_ascent(
+            a_val, w[run], x[run], y[run], model, theta[run], cfg, inner_tol[run],
+            cfg.max_inner, stall_limit=1, g0=g[run],
+        )
+        new = np.array([trace[-1] for trace, *_ in outcomes])
+        # an M-step that takes no ascent step at all ends its row: the
+        # surrogate admits none from here, which is a stationary point when
+        # the score is small.  A partially maximized surrogate is still a
+        # valid step (the ascent property only needs improvement).
+        stuck = (new == theta[run]).all(axis=1) & np.array(
+            [out[3] not in (None, "stalled", "max_iterations") for out in outcomes]
+        )
+        late = stuck & ~scored
+        if _any(late):
+            smax[late] = score_max(run[late], a_val[late])
+        converged[run[stuck]] = smax[stuck] < score_tol
+        for j in np.flatnonzero(stuck).tolist():
+            reasons[run[j]] = f"inner:{outcomes[j][3]}"
+        moved, new = run[~stuck], new[~stuck]
+        if not len(moved):
+            break
+        last_delta[moved] = np.abs(new - theta[moved]).max(axis=1)
+        stalls[moved] = np.where(last_delta[moved] <= cfg.tol, stalls[moved] + 1, 0)
+        theta[moved] = new
+        g[moved] = [out[4][0] for out, s in zip(outcomes, stuck.tolist()) if not s]
+        values, p[moved], amax[moved] = _mixture_at(quantizer, g[moved], d[moved], sigma[moved])
+        for i, row, value in zip(moved.tolist(), new, values.tolist()):
+            traces[i].append(row)
+            logliks[i].append(value)
+        stalled = (stalls[moved] >= 3) & (smax[~stuck] >= score_tol)
+        for i in moved[stalled].tolist():
+            reasons[i] = "stalled"
+        run = moved[~stalled]
+        if not len(run):
+            break
+    return [
+        _pack_result(trace, loglik, ok, None if ok else reason)
+        for trace, loglik, ok, reason in zip(traces, logliks, converged.tolist(), reasons)
+    ]
 
 
 def em_estimate(z, net, quantizer, bm, model, eta2, init, cfg):
-    """Full EM run; the trace records the quantized log-likelihood, which is
-    non-decreasing along EM iterates up to roundoff.  Each iterate is
-    evaluated once: its field values, level probabilities and mixture
-    maxima give both its log-likelihood and the next E-step."""
-    mix = _trial_mixture(z, net, quantizer, bm, eta2)
-    theta = init.as_array().copy()
-    if not _theta_ok(theta):
-        raise ValueError(f"invalid initial parameters {theta}")
-    g = model.value(FieldParams.from_array(theta), net.x, net.y)
-    value, p, amax = mix.at(g)
-    trace = [theta.copy()]
-    values = [value]
-    converged = False
-    prev_step = None
-    stalls = 0
-    score_tol = 1e-5 * net.k
-    for _ in range(cfg.max_outer):
-        a_val = mix.posterior_means(g, p, amax)
-        # the score is needed only after a step within tol, which every
-        # stall below follows too
-        score = None
-        if prev_step is None or prev_step <= cfg.tol:
-            score = _em_score(net, model, theta, g, a_val)
-            if np.max(np.abs(score)) < score_tol:
-                converged = True
-                break
-        new_theta, new_g, failure = _m_step(net, model, theta, g, a_val, cfg)
-        if failure is not None:
-            # the surrogate admits no ascent step at all from here, which is
-            # a stationary point when the score is small
-            if score is None:
-                score = _em_score(net, model, theta, g, a_val)
-            converged = np.max(np.abs(score)) < score_tol
-            reason = f"inner:{failure}"  # reported only when not converged
-            break
-        # a partially maximized surrogate is still a valid step (the ascent
-        # property only needs improvement), so keep iterating on progress
-        prev_step = float(np.max(np.abs(new_theta - theta)))
-        theta, g = new_theta, new_g
-        trace.append(theta.copy())
-        value, p, amax = mix.at(g)
-        values.append(value)
-        stalls = stalls + 1 if prev_step <= cfg.tol else 0
-        if stalls >= 3 and np.max(np.abs(score)) >= score_tol:
-            reason = "stalled"
-            break
-    else:
-        reason = "max_iterations"
-    return _pack_result(trace, values, converged, None if converged else reason)
+    """Full EM run, as a batch of one (see ``em_estimate_batch``)."""
+    (result,) = em_estimate_batch([z], [net], quantizer, bm, model, eta2, [init], cfg)
+    return result

@@ -42,10 +42,9 @@ from .crlb import (
 from .estimators import (
     EstimationError,
     SolverConfig,
-    em_estimate,
-    newton_ml_analog,
+    em_estimate_batch,
     newton_ml_analog_batch,
-    nr_estimate_quantized,
+    nr_estimate_quantized_batch,
 )
 from .field import GAUSSIAN_BELL, PARAM_NAMES, Area, FieldParams
 from .network import (
@@ -130,8 +129,9 @@ class ExperimentConfig:
             raise ConfigError("the quantized channel is estimated by 'em' or 'nr'")
         if any(k < 1 for k in self.k_values):
             raise ConfigError("sensor counts must be >= 1")
-        if not all(math.isfinite(v) for v in self.snr_o_db + self.snr_c_db):
-            raise ConfigError("SNRs must be finite dB values")
+        for row, value in zip(CONFIG_SCHEMA, _config_dict(self).values()):
+            if row.kind is float and not all(map(math.isfinite, value if row.many else [value])):
+                raise ConfigError(f"{row.key} must be finite, got {value}")
         paired_snrs(self.snr_o_db, self.snr_c_db)
         if self.channel == "quantized":
             for m in self.m_values:
@@ -381,6 +381,11 @@ def _trial_inputs(cfg, cell, data_cell_id, trial, calib):
     return net, z, init, record
 
 
+_BATCH_ESTIMATORS = {
+    "newton": newton_ml_analog_batch,
+    "em": em_estimate_batch,
+    "nr": nr_estimate_quantized_batch,
+}
 _ESTIMATOR_ERRORS = (EstimationError, np.linalg.LinAlgError, OverflowError, FloatingPointError)
 
 
@@ -393,28 +398,24 @@ def _attempt(estimator, *args):
 
 
 def _run_trials(cfg, cell, data_cell_id, calib, trials):
-    """Records of a contiguous range of one cell's trials, in trial order.
-    Analog trials are estimated as one batch, quantized ones one by one; an
-    estimate that raises is recorded with its error, never raised."""
+    """Records of a contiguous range of one cell's trials, in trial order,
+    estimated as one batch; an estimate that raises is recorded with its
+    error, never raised."""
     inputs = [_trial_inputs(cfg, cell, data_cell_id, t, calib) for t in trials]
-    eta2 = calib[1]
-    if cfg.channel == "analog":
-        nets, zs, inits, _ = zip(*inputs)
-        results = _attempt(newton_ml_analog_batch, zs, nets, GAUSSIAN_BELL, eta2, inits, cfg.solver)
-        if isinstance(results, Exception):
-            # some trial raised: run each alone, which gives the same
-            # estimates, to record which one
-            results = [
-                _attempt(newton_ml_analog, z, net, GAUSSIAN_BELL, eta2, init, cfg.solver)
-                for net, z, init, _ in inputs
-            ]
-    else:
-        quantizer, bm = _quantizer(cfg, cell)
-        estimator = em_estimate if cfg.estimator == "em" else nr_estimate_quantized
-        results = [
-            _attempt(estimator, z, net, quantizer, bm, GAUSSIAN_BELL, eta2, init, cfg.solver)
-            for net, z, init, _ in inputs
-        ]
+    channel = () if cell.m is None else _quantizer(cfg, cell)
+
+    def estimate(zs, nets, inits):
+        return _BATCH_ESTIMATORS[cfg.estimator](
+            zs, nets, *channel, GAUSSIAN_BELL, calib[1], inits, cfg.solver
+        )
+
+    nets, zs, inits, _ = zip(*inputs)
+    results = _attempt(estimate, zs, nets, inits)
+    if isinstance(results, Exception):
+        # some trial raised: run each alone, which gives the same estimates,
+        # to record which one
+        alone = (_attempt(estimate, [z], [net], [init]) for net, z, init, _ in inputs)
+        results = [r if isinstance(r, Exception) else r[0] for r in alone]
     records = []
     for (*_, record), result in zip(inputs, results):
         if isinstance(result, Exception):

@@ -15,6 +15,7 @@ from fieldest import (
     make_uniform_quantizer,
 )
 from fieldest import experiments
+from fieldest.estimators import _nr_derivs, _nr_value, _quantized_rows
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,16 @@ def assert_same_outcome(got, alone):
     assert (got.iterations, got.converged, got.divergence_reason) == (
         alone.iterations, alone.converged, alone.divergence_reason
     )
+
+
+def quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2v, theta):
+    """Gradient and Hessian at theta of the quantized log-likelihood of one
+    trial's received words zmat (K, alpha), as Newton-Raphson computes them."""
+    data, _ = _quantized_rows([zmat], [net], quantizer, bm, eta2v)
+    theta = np.asarray(theta, dtype=float)[None]
+    ev = _nr_value(quantizer, model, theta, *data)[1]
+    grad, hess = _nr_derivs(quantizer, model, theta, *ev, *data)
+    return grad[0], hess[0]
 
 
 def make_network(k, area, sigma2, seed):

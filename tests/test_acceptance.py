@@ -45,8 +45,9 @@ from fieldest import (
     run_campaign,
     sample_observations,
 )
-from fieldest.estimators import _quantized_loglik_derivs
 from fieldest.experiments import resolve_cells, run_cell_trials
+
+from conftest import quantized_loglik_derivs
 
 TRUTH = FieldParams(8.0, 2.0, 2.0, 4.0, 4.0)
 AREA = Area(0.0, 8.0, 0.0, 8.0)
@@ -329,7 +330,7 @@ def test_gradients_match_finite_differences():
         )
         params = FieldParams.from_array(theta)
         an_field = GAUSSIAN_BELL.gradient(params, net.x, net.y)
-        an_ll, _ = _quantized_loglik_derivs(zmat, net, q, bm, GAUSSIAN_BELL, eta2v, theta)
+        an_ll, _ = quantized_loglik_derivs(zmat, net, q, bm, GAUSSIAN_BELL, eta2v, theta)
         fd_field = np.empty_like(an_field)
         fd_ll = np.empty_like(an_ll)
         for s in range(5):

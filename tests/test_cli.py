@@ -227,11 +227,23 @@ def test_bad_config_key_exit_code(tmp_path, capsys):
     assert "unknown configuration keys" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("snr.observation_db", "nan"), ("snr.channel_db", "inf")])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("snr.observation_db", "15, nan", id="snr.observation_db-nan"),
+        pytest.param("snr.channel_db", "15, inf", id="snr.channel_db-inf"),
+        pytest.param("init.theta", "9, 1.5, inf, 3, 3", id="init.theta-inf"),
+        pytest.param("field.x_c", "nan", id="field.x_c-nan"),
+        pytest.param("channel.quantizer_lo", "-inf", id="channel.quantizer_lo--inf"),
+        pytest.param("report.tau_max", "inf", id="report.tau_max-inf"),
+    ],
+)
 def test_non_finite_snr_exit_code(tmp_path, capsys, key, value):
-    cfg = _cfg_file(tmp_path, ANALOG_CFG + f"{key} = 15, {value}\n")
+    # every float key is checked up front, and the refusal names the key
+    cfg = _cfg_file(tmp_path, ANALOG_CFG + f"{key} = {value}\n")
     assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "SNRs must be finite" in capsys.readouterr().err
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_collision_exit_code(tmp_path, capsys):

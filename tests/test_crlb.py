@@ -32,7 +32,7 @@ from fieldest import (
 
 from fieldest._quadrature import simpson_nodes_weights
 
-from conftest import make_network
+from conftest import make_network, quantized_loglik_derivs
 
 
 # ------------------------------------------------------------ FisherMatrix
@@ -449,8 +449,6 @@ def test_simpson_matches_score_outer_product_mc(truth, area, quantized_15db, sig
     """Independent stochastic check: the Fisher information is the covariance
     of the score.  Draw received words from the model, evaluate the analytic
     score at the truth, and average its outer product."""
-    from fieldest.estimators import _quantized_loglik_derivs
-
     quantizer, bm, eta2 = quantized_15db
     net = make_network(6, area, sigma2_15db, seed=33)
     fm = fisher_quantized_simpson(net, GAUSSIAN_BELL, truth, quantizer, bm, eta2, nodes=81)
@@ -464,7 +462,7 @@ def test_simpson_matches_score_outer_product_mc(truth, area, quantized_15db, sig
     for _ in range(draws):
         levels = np.array([rng.choice(bm.m, p=row / row.sum()) for row in p])
         z = bm.codebook[levels] + math.sqrt(eta2) * rng.standard_normal((net.k, bm.alpha))
-        score, _ = _quantized_loglik_derivs(z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
+        score, _ = quantized_loglik_derivs(z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
         acc += np.outer(score, score)
     mc = acc / draws
     scale = np.abs(fm.entries).max()
@@ -511,7 +509,7 @@ def test_simpson_guard_refuses_large_grids_up_front(truth, area, monkeypatch):
         fisher_quantized_simpson(net, GAUSSIAN_BELL, truth, quantizer, BitMapper(4), 0.4)
     assert "crlb.nodes=81" in str(exc.value)
     # the named count is the largest odd one within the guard
-    for alpha, k in ((4, 40), (3, 100), (2, 7), (1, 10), (5, 1)):
+    for alpha, k in ((4, 40), (3, 100), (2, 7), (1, 10)):
         bm = BitMapper(alpha)
         with pytest.raises(CompositionGuardError) as exc:
             crlb_mod._check_simpson_args(bm, 10**9 + 1, k)
@@ -519,6 +517,14 @@ def test_simpson_guard_refuses_large_grids_up_front(truth, area, monkeypatch):
         assert top % 2 == 1
         assert top**alpha * (bm.m + k) <= crlb_mod.SIMPSON_GUARD
         assert (top + 2) ** alpha * (bm.m + k) > crlb_mod.SIMPSON_GUARD
+    # where even 21 nodes exceed the guard, no count is suggested (every
+    # count below 21 is refused too)
+    for alpha, k in ((4, 600), (4, 1000), (5, 1)):
+        bm = BitMapper(alpha)
+        assert 21**alpha * (bm.m + k) > crlb_mod.SIMPSON_GUARD
+        with pytest.raises(CompositionGuardError, match="no allowed node count") as exc:
+            crlb_mod._check_simpson_args(bm, 21, k)
+        assert "crlb.nodes <=" not in str(exc.value)
     # the benchmark's and the demos' grids pass
     for alpha, nodes, k in ((3, 81, 100), (4, 21, 40), (1, 81, 10), (2, 81, 40)):
         crlb_mod._check_simpson_args(BitMapper(alpha), nodes, k)

@@ -13,7 +13,6 @@ from fieldest import (
     amplify_forward,
     em_estimate,
     em_quantities,
-    em_step,
     level_probabilities,
     loglik_analog,
     loglik_quantized,
@@ -28,14 +27,15 @@ from fieldest import (
 )
 from fieldest import estimators, experiments
 from fieldest.estimators import (
-    _Mixture,
     _ascent_steps,
-    _quantized_loglik_derivs,
+    _mixture_at,
+    _posterior_means,
+    _quantized_rows,
     _wls_derivs,
 )
 from fieldest.experiments import ExperimentConfig, resolve_cells
 
-from conftest import assert_same_outcome, make_network
+from conftest import assert_same_outcome, make_network, quantized_loglik_derivs
 
 
 def _analog_data(truth, area, sigma2, eta2, k=40, seed=100):
@@ -205,7 +205,7 @@ def test_quantized_loglik_gradient_matches_finite_differences(
             rng.uniform(2, 6),
             rng.uniform(2, 6),
         ])
-        grad, hess = _quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
+        grad, hess = quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
         fd = np.empty(5)
         for s in range(5):
             step = 1e-6 * max(1.0, abs(theta[s]))
@@ -230,15 +230,15 @@ def test_quantized_loglik_hessian_matches_finite_differences(
     net, z = _quantized_data(truth, area, sigma2_15db, quantizer, bm, eta2, k=10, seed=23)
     eta2v = np.full(net.k, eta2)
     theta = np.array([7.0, 2.2, 1.9, 4.4, 3.6])
-    _, hess = _quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
+    _, hess = quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
     fd = np.empty((5, 5))
     for s in range(5):
         step = 1e-6 * max(1.0, abs(theta[s]))
         up, dn = theta.copy(), theta.copy()
         up[s] += step
         dn[s] -= step
-        gu, _ = _quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, up)
-        gd, _ = _quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, dn)
+        gu, _ = quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, up)
+        gd, _ = quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, dn)
         fd[s] = (gu - gd) / (2 * step)
     scale = max(np.abs(fd).max(), 1e-8)
     assert np.max(np.abs(hess - fd)) / scale < 5e-6
@@ -316,29 +316,32 @@ def test_em_score_equals_incomplete_data_score(truth, area, quantized_15db, sigm
     quantizer, bm, eta2 = quantized_15db
     net, z = _quantized_data(truth, area, sigma2_15db, quantizer, bm, eta2, k=20, seed=41)
     eta2v = np.full(net.k, eta2)
+    (d, sigma, _, _), _ = _quantized_rows([z.z], [net], quantizer, bm, eta2v)
     for theta in (
         truth.as_array(),
         np.array([9.0, 1.5, 1.5, 3.0, 3.0]),
         np.array([6.5, 2.4, 2.1, 4.8, 3.9]),
     ):
         g = GAUSSIAN_BELL.value(FieldParams.from_array(theta), net.x, net.y)
-        mix = _Mixture.of(z.z, quantizer, bm, np.sqrt(net.sigma2), eta2v)
-        a_val = mix.posterior_means(g, *mix.at(g)[1:])
+        _, p, amax = _mixture_at(quantizer, g[None], d, sigma)
+        a_val = _posterior_means(quantizer, g[None], p, amax, d, sigma)[0]
         grads = GAUSSIAN_BELL.gradient(FieldParams.from_array(theta), net.x, net.y)
         em_grad = ((a_val - g) / net.sigma2) @ grads
-        ml_grad, _ = _quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
+        ml_grad, _ = quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
         np.testing.assert_allclose(em_grad, ml_grad, rtol=1e-8, atol=1e-10)
 
 
-def test_em_step_fixed_point_short_circuit(truth, area, quantized_15db, sigma2_15db):
+def test_em_restarted_at_its_estimate_stops_at_once(truth, area, quantized_15db, sigma2_15db):
     quantizer, bm, eta2 = quantized_15db
     net, z = _quantized_data(truth, area, sigma2_15db, quantizer, bm, eta2, k=40, seed=91)
     res = em_estimate(z, net, quantizer, bm, GAUSSIAN_BELL, eta2,
                       FieldParams(9.0, 1.5, 1.5, 3.0, 3.0), SolverConfig())
-    assert res.converged
-    # at the EM limit the step operator returns its input unchanged
-    again = em_step(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, res.theta_hat, SolverConfig())
-    np.testing.assert_allclose(again.as_array(), res.theta_hat.as_array(), atol=1e-8)
+    assert res.converged and res.iterations > 0
+    # the EM limit is a fixed point: EM restarted there passes its score test
+    # before any M-step, with the same estimate
+    again = em_estimate(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, res.theta_hat, SolverConfig())
+    assert (again.converged, again.iterations) == (True, 0)
+    assert again.theta_hat.as_array().tobytes() == res.theta_hat.as_array().tobytes()
 
 
 def test_em_estimate_ascends_and_recovers(truth, area, quantized_15db, sigma2_15db):

@@ -42,11 +42,13 @@ from fieldest import (
     calibrate_eta_analog,
     calibrate_eta_quantized,
     calibrate_sigma,
+    em_estimate,
     estimators,
     experiments,
     make_uniform_quantizer,
     network,
     newton_ml_analog,
+    nr_estimate_quantized,
 )
 
 from conftest import assert_same_outcome
@@ -642,6 +644,17 @@ def test_reports_identical_across_worker_counts(monkeypatch, tmp_path):
     )
     serial = compare_em_nr(qcfg)
     assert _without_workers(compare_em_nr(replace(qcfg, workers=2))) == _without_workers(serial)
+    # the quantized trials of a cell run as one EM or NR batch per chunk too
+    for estimator in ("em", "nr"):
+        ecfg = replace(qcfg, estimator=estimator, k_values=(30,), m_values=(4, 16), trials=9)
+        serial = _report_bytes(run_campaign(ecfg), tmp_path / f"{estimator}.json")
+        for size in (1, 7, ecfg.trials):
+            monkeypatch.setattr(experiments, "_trial_chunks", _split_by(size))
+            for workers in (1, 2):
+                report = run_campaign(replace(ecfg, workers=workers))
+                path = tmp_path / f"{estimator}_{size}_{workers}.json"
+                assert _report_bytes(report, path) == serial
+        monkeypatch.undo()
 
 
 def test_a_batch_equals_its_rows_run_alone():
@@ -664,25 +677,52 @@ def test_a_batch_equals_its_rows_run_alone():
     # the default seed's cells include rows that fail or hit the cap
     assert reasons[20240901, "line_search_failed"] > 0
     assert reasons[20240901, "max_iterations"] > 0
+    # likewise EM and NR on the em-nr-race cells, 6 trials each
+    for estimator, alone in (("em", em_estimate), ("nr", nr_estimate_quantized)):
+        mixed = 0  # batches with rows that converge and rows at the cap
+        for seed in (20240901, 7919):
+            cfg = ExperimentConfig(
+                channel="quantized", k_values=(40,), m_values=(2, 4, 8, 16), trials=6,
+                base_seed=seed, estimator=estimator, crlb_enabled=False,
+            )
+            cells, ids = resolve_cells(cfg)
+            for cell, data_id in zip(cells, ids):
+                calib = experiments._cell_calibration(cfg, cell)
+                quantizer, bm = experiments._quantizer(cfg, cell)
+                records = run_cell_trials(cfg, cell, data_id)
+                for trial, record in enumerate(records):
+                    net, z, init, _ = experiments._trial_inputs(cfg, cell, data_id, trial, calib)
+                    assert_same_outcome(
+                        record.result,
+                        alone(z, net, quantizer, bm, GAUSSIAN_BELL, calib[1], init, cfg.solver),
+                    )
+                errors = {r.error for r in records}
+                mixed += None in errors and "max_iterations" in errors
+        assert mixed > 0, estimator
 
 
 def test_a_raising_row_is_recorded_and_the_others_estimated(monkeypatch):
     def broken(grad, hess):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    cfg = _tiny_analog_cfg(k_values=(10,), trials=12)
-    cells, ids = resolve_cells(cfg)
-    healthy = run_cell_trials(cfg, cells[0], ids[0])
-    monkeypatch.setattr(estimators, "_modified_steps", broken)
-    records = run_cell_trials(cfg, cells[0], ids[0])
-    failed = [r for r in records if r.result is None]
-    assert failed and len(failed) < len(records)
-    for record, before in zip(records, healthy):
-        if record.result is None:
-            assert record.error == "LinAlgError: Eigenvalues did not converge"
-            assert record.se is None and not record.converged
-        else:
-            _same_record(record, before)
+    for cfg in (
+        _tiny_analog_cfg(k_values=(10,), trials=12),
+        _tiny_analog_cfg(k_values=(10,), trials=12, channel="quantized", m_values=(4,),
+                         estimator="em"),
+    ):
+        cells, ids = resolve_cells(cfg)
+        healthy = run_cell_trials(cfg, cells[0], ids[0])
+        monkeypatch.setattr(estimators, "_modified_steps", broken)
+        records = run_cell_trials(cfg, cells[0], ids[0])
+        monkeypatch.undo()
+        failed = [r for r in records if r.result is None]
+        assert failed and len(failed) < len(records)
+        for record, before in zip(records, healthy):
+            if record.result is None:
+                assert record.error == "LinAlgError: Eigenvalues did not converge"
+                assert record.se is None and not record.converged
+            else:
+                _same_record(record, before)
 
 
 def test_each_cell_is_calibrated_once(calibration_calls):
