@@ -29,6 +29,15 @@ def _positive_finite(a):
     return bool(np.all((a > 0) & (a < np.inf)))
 
 
+def _channel_variances(eta2, k):
+    """eta2 as one channel variance per sensor, a (k,) view; each must be
+    finite and positive."""
+    e = np.broadcast_to(np.asarray(eta2, dtype=float), (k,))
+    if not _positive_finite(e):
+        raise ValueError("channel variances must be finite and positive")
+    return e
+
+
 def _as_readings(r):
     """Accept an ObservationVector-like object (with .r) or a plain array."""
     arr = np.asarray(getattr(r, "r", r), dtype=float)
@@ -113,29 +122,19 @@ class ObservationVector:
 @dataclass(frozen=True, eq=False)
 class ReceivedMatrix:
     """What the fusion center sees: z of shape (K,) for the analog channel or
-    (K, alpha) for the quantized channel, plus per-sensor channel variances."""
+    (K, alpha) for the quantized channel."""
 
     z: np.ndarray
-    eta2: np.ndarray
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
-        e = np.asarray(self.eta2, dtype=float)
         object.__setattr__(self, "z", z)
         if z.ndim not in (1, 2):
             raise ValueError(f"received data must be (K,) or (K, alpha), got {z.shape}")
-        e = np.broadcast_to(e, (z.shape[0],)).copy()
-        if not _positive_finite(e):
-            raise ValueError("channel variances must be finite and positive")
-        object.__setattr__(self, "eta2", e)
 
     @property
     def k(self):
         return self.z.shape[0]
-
-    @property
-    def kind(self):
-        return "analog" if self.z.ndim == 1 else "bits"
 
 
 def make_uniform_quantizer(m, lo, hi):
@@ -229,10 +228,9 @@ def bits_of_level(bm, j):
 def amplify_forward(r, eta2, seed):
     """Analog channel: z_k = R_k + N(0, eta2_k)."""
     readings = _as_readings(r)
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), readings.shape)
+    eta2v = _channel_variances(eta2, readings.size)
     rng = np.random.default_rng(seed)
-    z = readings + rng.standard_normal(readings.shape) * np.sqrt(eta2v)
-    return ReceivedMatrix(z=z, eta2=eta2v.copy())
+    return ReceivedMatrix(readings + rng.standard_normal(readings.shape) * np.sqrt(eta2v))
 
 
 def quantize_forward(r, q, bm, eta2, seed):
@@ -241,8 +239,7 @@ def quantize_forward(r, q, bm, eta2, seed):
     if q.m != bm.m:
         raise ValueError(f"quantizer has {q.m} levels but bit mapper expects {bm.m}")
     readings = _as_readings(r)
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), readings.shape)
+    eta2v = _channel_variances(eta2, readings.size)
     words = bits_of_level(bm, quantize(q, readings))
     rng = np.random.default_rng(seed)
-    z = words + rng.standard_normal(words.shape) * np.sqrt(eta2v)[:, None]
-    return ReceivedMatrix(z=z, eta2=eta2v.copy())
+    return ReceivedMatrix(words + rng.standard_normal(words.shape) * np.sqrt(eta2v)[:, None])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .channel import _p_slope, _p_slopes, level_probabilities
+from .channel import _channel_variances, _p_slope, level_probabilities
 from ._quadrature import simpson_nodes_weights
 
 #: refuse series evaluations with more enumerated terms than this
@@ -70,14 +70,6 @@ class FisherMatrix:
         if scale > 0 and np.max(np.abs(arr - arr.T)) > 1e-10 * scale:
             raise ValueError("Fisher matrix entries must be symmetric")
 
-    @property
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    @property
-    def crlb_diag(self):
-        return crlb_from_fisher(self)
-
 
 def crlb_from_fisher(fisher):
     """Diagonal of I^-1 through a symmetric eigendecomposition.
@@ -111,32 +103,9 @@ def fisher_analog(net, model, params, eta2):
     """I = sum_k (sigma2_k + eta2_k)^-1 grad G_k grad G_k^T."""
     if net.sigma2 is None:
         raise ValueError("network has no calibrated sigma2")
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
+    eta2v = _channel_variances(eta2, net.k)
     grads = model.gradient(params, net.x, net.y)
     return _fisher_from_info(1.0 / (net.sigma2 + eta2v), grads, "analog")
-
-
-# ------------------------------------------- level-probability derivatives
-
-
-def p_derivatives(quantizer, g, grad_g, hess_g, sigma):
-    """Chain rule through the field: dp_j/dtheta_s = dp_j/dg * dg/dtheta_s and
-    d2p_j/dtheta2 = d2p_j/dg2 * grad grad^T + dp_j/dg * hess_g.
-
-    Returns (dp: M x L, d2p: M x L x L) for a single sensor.
-    """
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    grad_g = np.asarray(grad_g, dtype=float)
-    hess_g = np.asarray(hess_g, dtype=float)
-    dp_dg, d2p_dg2 = _p_slopes(quantizer, np.atleast_1d(float(g)), np.atleast_1d(sigma))
-    dp = dp_dg[0][:, None] * grad_g[None, :]
-    d2p = (
-        d2p_dg2[0][:, None, None] * grad_g[None, :, None] * grad_g[None, None, :]
-        + dp_dg[0][:, None, None] * hess_g[None, :, :]
-    )
-    return dp, d2p
 
 
 def _quantized_inputs(net, model, params, quantizer, bm, eta2):
@@ -145,7 +114,7 @@ def _quantized_inputs(net, model, params, quantizer, bm, eta2):
         raise ValueError("quantizer and bit mapper disagree on the level count")
     if net.sigma2 is None:
         raise ValueError("network has no calibrated sigma2")
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
+    eta2v = _channel_variances(eta2, net.k)
     g = model.value(params, net.x, net.y)
     sigma = np.sqrt(net.sigma2)
     p, dp_dg = level_probabilities(quantizer, g, sigma), _p_slope(quantizer, g, sigma)[0]
@@ -153,19 +122,6 @@ def _quantized_inputs(net, model, params, quantizer, bm, eta2):
 
 
 # ------------------------------------------------------------------ series
-
-
-def compositions(total, parts):
-    """All weak compositions of `total` into `parts` nonnegative integers,
-    yielded exactly once each in lexicographic order: the rows of
-    _composition_table(total, parts) whose total is `total`."""
-    total = int(total)
-    parts = int(parts)
-    if total < 0 or parts < 1:
-        raise ValueError("need total >= 0 and parts >= 1")
-    table, totals = _composition_table(total, parts)
-    for row in table[totals == total]:
-        yield tuple(int(v) for v in row)
 
 
 def series_term_count(zeta, m):
@@ -429,27 +385,3 @@ def fisher_quantized_simpson(net, model, params, quantizer, bm, eta2, nodes=81):
         k_idx = np.flatnonzero(eta2v == eta_val)
         info[k_idx] = _info_simpson(p[k_idx], dp_dg[k_idx], bm, float(eta_val), nodes)
     return _fisher_from_info(info, grads, f"quadrature(nodes={nodes})")
-
-
-def gamma_quadrature(quantizer, bm, g, sigma, eta2, nodes=81):
-    """Evaluate, by the same tensor-grid Simpson rule, the weights
-
-        Gamma_j = Int e_j(z) f_Z(z) / x(z) dz
-
-    with the mixture pdf f_Z = (2 pi eta^2)^(-alpha/2) x(z) left unsimplified
-    in the integrand.  Mathematically Gamma_j = 1 for every level; the
-    returned M-vector measures pure quadrature error.
-    """
-    nodes = _check_simpson_args(bm, nodes, 1)
-    if quantizer.m != bm.m:
-        raise ValueError("quantizer and bit mapper disagree on the level count")
-    p = level_probabilities(quantizer, float(g), float(sigma))
-    eta2 = float(eta2)
-    norm = (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0)
-    gamma = np.zeros(bm.m)
-    for e_blk, w_blk in _grid_slabs(bm, eta2, nodes):
-        x = e_blk @ p
-        f_pdf = norm * x
-        ratio = np.divide(f_pdf, x, out=np.zeros_like(x), where=x > 0)
-        gamma += e_blk.T @ (w_blk * ratio)
-    return gamma

@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .channel import _p_slope, _p_slopes, level_probabilities
+from .channel import _channel_variances, _p_slope, _p_slopes, level_probabilities
 from .field import FieldParams
 
 
@@ -371,8 +371,7 @@ def loglik_analog(z, net, model, params, eta2):
     """Analog-channel log-likelihood -1/2 sum_k w_k (z_k - G_k)^2 with
     w_k = 1/(sigma2_k + eta2_k), additive constants dropped: the objective
     that ``newton_ml_analog`` maximises."""
-    zv, sigma2, x, y = _check_trials([z.z], [net])
-    w = 1.0 / (sigma2 + np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,)))
+    zv, w, x, y = _analog_rows([z.z], [net], eta2)
     return float(_wls_objective(model.value(params, x, y), zv, w)[0])
 
 
@@ -423,14 +422,20 @@ def _check_trials(zs, nets, word=()):
     return np.array(zs, dtype=float), sigma2, x, y
 
 
+def _analog_rows(zs, nets, eta2):
+    """The per-row data (z, w, x, y), each (T, K), of a batch of analog
+    trials with readings zs (arrays), where w = 1/(sigma2 + eta2)."""
+    zv, sigma2, x, y = _check_trials(zs, nets)
+    return zv, 1.0 / (sigma2 + _channel_variances(eta2, zv.shape[1])), x, y
+
+
 def newton_ml_analog_batch(zs, nets, model, eta2, inits, cfg):
     """ML estimates of T analog-channel trials with the same sensor count K,
     by one damped Newton ascent over the stack.  Returns each trial's
     EstimateResult, in trial order; each equals ``newton_ml_analog`` on that
     trial alone, bit for bit."""
-    zv, sigma2, x, y = _check_trials([z.z for z in zs], nets)
+    zv, w, x, y = _analog_rows([z.z for z in zs], nets, eta2)
     k = zv.shape[1]
-    w = 1.0 / (sigma2 + np.broadcast_to(np.asarray(eta2, dtype=float), (k,)))
     outcomes = _wls_ascent(
         zv, w, x, y, model, np.array([init.as_array() for init in inits]), cfg,
         grad_tol=1e-4 * k, max_iter=cfg.max_outer, stall_limit=3,
@@ -459,7 +464,7 @@ def _quantized_rows(zs, nets, quantizer, bm, eta2):
     if quantizer.m != bm.m:
         raise ValueError("quantizer and bit mapper disagree on the level count")
     zv, sigma2, x, y = _check_trials(zs, nets, (bm.alpha,))
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (zv.shape[1],))
+    eta2v = _channel_variances(eta2, zv.shape[1])
     return (_bit_distances(zv, bm.codebook, eta2v), np.sqrt(sigma2), x, y), sigma2
 
 
@@ -546,19 +551,6 @@ def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
 
 
 # -------------------------------------------------------------------- EM
-
-
-def em_quantities(z_k, quantizer, bm, g_m, sigma, eta2):
-    """Single-sensor EM posterior mean A given the received word z_k, the
-    current field value g_m at the sensor, and the noise levels (see
-    ``_posterior_means``)."""
-    zmat = np.asarray(z_k, dtype=float).reshape(1, 1, -1)
-    if zmat.shape[2] != bm.alpha:
-        raise ValueError(f"z_k must have alpha={bm.alpha} entries")
-    g, sigma, eta2 = (np.asarray(v, dtype=float).reshape(1, 1) for v in (g_m, sigma, eta2))
-    d = _bit_distances(zmat, bm.codebook, eta2[0])
-    _, p, amax = _mixture_at(quantizer, g, d, sigma)
-    return float(_posterior_means(quantizer, g, p, amax, d, sigma)[0, 0])
 
 
 def em_estimate_batch(zs, nets, quantizer, bm, model, eta2, inits, cfg):

@@ -1,7 +1,10 @@
-"""Shared fixtures: the default field/area and small calibrated setups."""
+"""Shared fixtures (the default field/area and small calibrated setups),
+helpers that run one pipeline quantity for the tests, and the independent
+quadrature oracles that several test files check against."""
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fieldest import (
     Area,
@@ -12,10 +15,19 @@ from fieldest import (
     calibrate_eta_quantized,
     calibrate_sigma,
     deploy_uniform,
+    level_probabilities,
     make_uniform_quantizer,
 )
 from fieldest import experiments
-from fieldest.estimators import _nr_derivs, _nr_value, _quantized_rows
+from fieldest.crlb import _grid_slabs
+from fieldest.estimators import (
+    _bit_distances,
+    _mixture_at,
+    _nr_derivs,
+    _nr_value,
+    _posterior_means,
+    _quantized_rows,
+)
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +63,75 @@ def quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2v, theta):
     ev = _nr_value(quantizer, model, theta, *data)[1]
     grad, hess = _nr_derivs(quantizer, model, theta, *ev, *data)
     return grad[0], hess[0]
+
+
+def posterior_mean(z_k, quantizer, bm, g, sigma, eta2):
+    """The E-step's posterior mean A = E[R | z_k] of one sensor's latent
+    reading R ~ N(g, sigma^2), given its received word z_k, as EM computes it."""
+    g, sigma = np.full((1, 1), g, dtype=float), np.full((1, 1), sigma, dtype=float)
+    d = _bit_distances(np.reshape(z_k, (1, 1, -1)).astype(float), bm.codebook, np.full(1, eta2))
+    _, p, amax = _mixture_at(quantizer, g, d, sigma)
+    return float(_posterior_means(quantizer, g, p, amax, d, sigma)[0, 0])
+
+
+def posterior_quadrature(z_k, quantizer, bm, g, sigma, eta2):
+    """Oracle for the E-step: the posterior mean A = E[R | z_k] of a latent
+    reading R ~ N(g, sigma^2) and the posterior mass B, by adaptive 1-D
+    quadrature over each quantizer cell within 13 sigma of g, each cell
+    weighted by its bit likelihood.  B is the quadrature mass over the
+    mixture mass sum_j p_j e^{d_j}, which is 1 by math."""
+    d = -np.sum((np.asarray(z_k) - bm.codebook) ** 2, axis=1) / (2.0 * eta2)
+    e = np.exp(d - d.max())  # a common scale cancels in both ratios
+    lo_cut, hi_cut = g - 13.0 * sigma, g + 13.0 * sigma
+    i0, i1 = np.zeros(bm.m), np.zeros(bm.m)
+
+    def pdf(r):
+        return np.exp(-0.5 * ((r - g) / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi))
+
+    for j in range(bm.m):
+        a_edge = max(float(quantizer.boundaries[j]), lo_cut)
+        b_edge = min(float(quantizer.boundaries[j + 1]), hi_cut)
+        if b_edge <= a_edge:
+            continue
+        i0[j], _ = quad(pdf, a_edge, b_edge, epsabs=1e-13, epsrel=1e-12, limit=200)
+        i1[j], _ = quad(lambda r: r * pdf(r), a_edge, b_edge, epsabs=1e-13, epsrel=1e-12, limit=200)
+    p = level_probabilities(quantizer, g, sigma)
+    return float(e @ i1) / float(e @ i0), float(e @ i0) / float(e @ p)
+
+
+def gaussian_product_integral(ell, j, i, bm, eta2):
+    """Oracle for lambda_term: its defining integral
+    (2 pi eta^2)^(-alpha/2) Int e_j(z) e_i(z) prod_v e_v(z)^ell_v dz, as a
+    product of 1-D adaptive quadratures, one per bit axis (the integrand
+    factorizes).  j and i are 1-based level indices."""
+    book = bm.codebook
+    mult = np.concatenate(([1.0, 1.0], np.asarray(ell, dtype=float)))
+    points = np.vstack((book[j - 1], book[i - 1], book))
+    total = 1.0
+    for a in range(bm.alpha):
+        beta = points[:, a]
+
+        def f(z):
+            return np.exp(-np.sum(mult * (z - beta) ** 2) / (2.0 * eta2))
+
+        val, _ = quad(f, -np.inf, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
+        total *= val / np.sqrt(2.0 * np.pi * eta2)
+    return total
+
+
+def grid_gamma(quantizer, bm, g, sigma, eta2, nodes=81):
+    """Gamma_j = Int e_j(z) f_Z(z) / x(z) dz on the Simpson grid of the
+    quantized Fisher route (``_grid_slabs``), with the mixture pdf
+    f_Z = (2 pi eta^2)^(-alpha/2) x left unsimplified and the ratio zeroed
+    where x <= 0, as ``_info_simpson`` does.  Gamma_j = 1 by math, so its
+    distance from 1 is the grid's quadrature error."""
+    p = level_probabilities(quantizer, float(g), float(sigma))
+    norm = (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0)
+    gamma = np.zeros(bm.m)
+    for e_blk, w_blk in _grid_slabs(bm, eta2, nodes):
+        x = e_blk @ p
+        gamma += e_blk.T @ (w_blk * np.divide(norm * x, x, out=np.zeros_like(x), where=x > 0))
+    return gamma
 
 
 def make_network(k, area, sigma2, seed):

@@ -15,7 +15,6 @@ import json
 import time
 
 import numpy as np
-from scipy.integrate import quad
 
 from fieldest import (
     Area,
@@ -30,13 +29,11 @@ from fieldest import (
     calibrate_sigma,
     compare_em_nr,
     deploy_uniform,
-    em_quantities,
     export_po_csv,
     export_report,
     fisher_analog,
     fisher_quantized_series,
     fisher_quantized_simpson,
-    gamma_quadrature,
     lambda_term,
     level_probabilities,
     loglik_quantized,
@@ -47,7 +44,13 @@ from fieldest import (
 )
 from fieldest.experiments import resolve_cells, run_cell_trials
 
-from conftest import quantized_loglik_derivs
+from conftest import (
+    gaussian_product_integral,
+    grid_gamma,
+    posterior_mean,
+    posterior_quadrature,
+    quantized_loglik_derivs,
+)
 
 TRUTH = FieldParams(8.0, 2.0, 2.0, 4.0, 4.0)
 AREA = Area(0.0, 8.0, 0.0, 8.0)
@@ -123,7 +126,7 @@ def test_posterior_weight_quadrature_is_unit():
         g = float(rng.uniform(lo - 1.0, lo + 17.0))
         sigma = float(rng.uniform(0.3, 3.0))
         eta2 = float(rng.uniform(0.1, 2.0))
-        gamma = gamma_quadrature(q, bm, g, sigma, eta2)
+        gamma = grid_gamma(q, bm, g, sigma, eta2)
         worst = max(worst, float(np.max(np.abs(gamma - 1.0))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 30.0
@@ -134,24 +137,6 @@ def test_posterior_weight_quadrature_is_unit():
         f"1-3 bits (tol 1e-6, {elapsed:.1f}s < 30s)",
     )
     assert ok, msg
-
-
-def _gaussian_product_integral(ell, j, i, bm, eta2):
-    """Defining integral of the series kernel overlap, one 1-D quadrature per
-    coordinate (the integrand factorizes)."""
-    book = bm.codebook
-    mult = np.concatenate(([1.0, 1.0], np.asarray(ell, dtype=float)))
-    points = np.vstack((book[j - 1], book[i - 1], book))
-    total = 1.0
-    for a in range(bm.alpha):
-        beta = points[:, a]
-
-        def f(z):
-            return np.exp(-np.sum(mult * (z - beta) ** 2) / (2.0 * eta2))
-
-        val, _ = quad(f, -np.inf, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
-        total *= val / np.sqrt(2.0 * np.pi * eta2)
-    return total
 
 
 def test_kernel_overlap_closed_form_matches_quadrature():
@@ -166,7 +151,7 @@ def test_kernel_overlap_closed_form_matches_quadrature():
         j = int(rng.integers(1, bm.m + 1))
         i = int(rng.integers(1, bm.m + 1))
         closed = lambda_term(ell, j, i, bm, eta2)
-        reference = _gaussian_product_integral(ell, j, i, bm, eta2)
+        reference = gaussian_product_integral(ell, j, i, bm, eta2)
         worst = max(worst, abs(closed - reference) / abs(reference))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 60.0
@@ -425,27 +410,8 @@ def test_em_posterior_moments_match_quadrature():
         word = bm.codebook[int(rng.integers(0, bm.m))]
         z = word + rng.standard_normal(alpha) * np.sqrt(eta2)
 
-        a_impl = em_quantities(z, q, bm, g, sigma, eta2)
-
-        d = -np.sum((z[None, :] - bm.codebook) ** 2, axis=1) / (2.0 * eta2)
-        e = np.exp(d - d.max())
-        lo_cut, hi_cut = g - 13.0 * sigma, g + 13.0 * sigma
-        i0 = np.zeros(bm.m)
-        i1 = np.zeros(bm.m)
-
-        def pdf(r):
-            return np.exp(-0.5 * ((r - g) / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi))
-
-        for j in range(bm.m):
-            a_edge = max(float(q.boundaries[j]), lo_cut)
-            b_edge = min(float(q.boundaries[j + 1]), hi_cut)
-            if b_edge <= a_edge:
-                continue
-            i0[j], _ = quad(pdf, a_edge, b_edge, epsabs=1e-13, epsrel=1e-12, limit=200)
-            i1[j], _ = quad(lambda r: r * pdf(r), a_edge, b_edge, epsabs=1e-13, epsrel=1e-12, limit=200)
-        p = level_probabilities(q, g, sigma)
-        a_ref = float(e @ i1) / float(e @ i0)
-        b_quad = float(e @ i0) / float(e @ p)
+        a_impl = posterior_mean(z, q, bm, g, sigma, eta2)
+        a_ref, b_quad = posterior_quadrature(z, q, bm, g, sigma, eta2)
         worst_a = max(worst_a, abs(a_impl - a_ref))
         worst_b = max(worst_b, abs(b_quad - 1.0))
     elapsed = time.perf_counter() - t0

@@ -1,19 +1,35 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from fieldest import (
+    GAUSSIAN_BELL,
     BitMapper,
     ObservationVector,
     Quantizer,
+    ReceivedMatrix,
+    SolverConfig,
     amplify_forward,
     bits_of_level,
+    em_estimate_batch,
+    fisher_analog,
+    fisher_quantized_series,
+    fisher_quantized_simpson,
     level_probabilities,
+    loglik_analog,
+    loglik_quantized,
     make_uniform_quantizer,
+    newton_ml_analog_batch,
+    nr_estimate_quantized_batch,
     quantize,
     quantize_forward,
+    sample_observations,
 )
+
+from conftest import make_network
 
 
 # ------------------------------------------------------------- quantizer
@@ -192,7 +208,7 @@ def test_amplify_forward_statistics():
     r = np.full(50_000, 3.7)
     eta2 = 0.6
     out = amplify_forward(r, eta2, np.random.SeedSequence(5))
-    assert out.kind == "analog"
+    assert out.z.shape == r.shape
     assert out.k == r.size
     noise = out.z - r
     assert noise.mean() == pytest.approx(0.0, abs=0.02)
@@ -214,7 +230,6 @@ def test_quantize_forward_words_and_noise():
     r = np.array([0.2, 4.9, 11.8, 6.01])
     expected_words = bm.codebook[quantize(q, r) - 1]
     out = quantize_forward(r, q, bm, 1e-18, np.random.SeedSequence(3))
-    assert out.kind == "bits"
     assert out.z.shape == (4, 3)
     # with (numerically) no channel noise, the received rows are the words
     np.testing.assert_allclose(out.z, expected_words, atol=1e-7)
@@ -243,12 +258,16 @@ def test_quantize_forward_bits_independent():
 
 
 def test_quantize_forward_per_sensor_eta2():
+    """Sensor k's bits carry noise of variance eta2_k: under one seed, the
+    noise applied is the unit-variance draw scaled by sqrt(eta2_k)."""
     q = make_uniform_quantizer(2, 0.0, 12.0)
     bm = BitMapper(1)
-    r = np.zeros(4)
+    r = np.zeros(4)  # all in cell 1, word = [0], so z is the noise itself
     eta2 = np.array([0.1, 0.2, 0.3, 0.4])
     out = quantize_forward(r, q, bm, eta2, np.random.SeedSequence(0))
-    np.testing.assert_allclose(out.eta2, eta2)
+    unit = quantize_forward(r, q, bm, 1.0, np.random.SeedSequence(0))
+    assert np.all(unit.z != 0.0)
+    np.testing.assert_allclose(out.z, np.sqrt(eta2)[:, None] * unit.z, rtol=1e-15, atol=0)
 
 
 def test_quantize_forward_level_mismatch():
@@ -258,12 +277,61 @@ def test_quantize_forward_level_mismatch():
 
 
 def test_received_matrix_validation():
-    from fieldest import ReceivedMatrix
+    with pytest.raises(ValueError):
+        ReceivedMatrix(z=np.zeros((2, 2, 2)))
+    assert ReceivedMatrix(z=np.zeros((3, 2))).k == 3
 
-    with pytest.raises(ValueError):
-        ReceivedMatrix(z=np.zeros((2, 2, 2)), eta2=np.array(1.0))
-    with pytest.raises(ValueError):
-        ReceivedMatrix(z=np.zeros(3), eta2=np.array(-1.0))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite and positive"):
-            ReceivedMatrix(z=np.zeros(3), eta2=np.array([0.5, bad, 0.5]))
+
+@pytest.fixture(scope="module")
+def one_trial(truth, area):
+    """A six-sensor network at the default truth with one analog and one
+    quantized (M = 4) received trial, both sent at a valid eta2."""
+    net = make_network(6, area, 0.3937, seed=4)
+    obs = sample_observations(net, GAUSSIAN_BELL, truth, np.random.SeedSequence(5))
+    q, bm = make_uniform_quantizer(4, 0.0, 12.0), BitMapper(2)
+    return SimpleNamespace(
+        truth=truth, net=net, obs=obs, q=q, bm=bm,
+        za=amplify_forward(obs, 0.4, np.random.SeedSequence(6)),
+        zq=quantize_forward(obs, q, bm, 0.4, np.random.SeedSequence(7)),
+    )
+
+
+# every public entry point that takes the channel variance eta2
+_ETA2_ENTRY_POINTS = {
+    "amplify_forward": lambda t, e: amplify_forward(t.obs, e, np.random.SeedSequence(8)),
+    "quantize_forward": lambda t, e: quantize_forward(t.obs, t.q, t.bm, e, np.random.SeedSequence(8)),
+    "loglik_analog": lambda t, e: loglik_analog(t.za, t.net, GAUSSIAN_BELL, t.truth, e),
+    "loglik_quantized": lambda t, e: loglik_quantized(
+        t.zq, t.net, t.q, t.bm, GAUSSIAN_BELL, t.truth, e
+    ),
+    "newton_ml_analog_batch": lambda t, e: newton_ml_analog_batch(
+        [t.za], [t.net], GAUSSIAN_BELL, e, [t.truth], SolverConfig()
+    ),
+    "nr_estimate_quantized_batch": lambda t, e: nr_estimate_quantized_batch(
+        [t.zq], [t.net], t.q, t.bm, GAUSSIAN_BELL, e, [t.truth], SolverConfig()
+    ),
+    "em_estimate_batch": lambda t, e: em_estimate_batch(
+        [t.zq], [t.net], t.q, t.bm, GAUSSIAN_BELL, e, [t.truth], SolverConfig()
+    ),
+    "fisher_analog": lambda t, e: fisher_analog(t.net, GAUSSIAN_BELL, t.truth, e),
+    "fisher_quantized_series": lambda t, e: fisher_quantized_series(
+        t.net, GAUSSIAN_BELL, t.truth, t.q, t.bm, e, 2
+    ),
+    "fisher_quantized_simpson": lambda t, e: fisher_quantized_simpson(
+        t.net, GAUSSIAN_BELL, t.truth, t.q, t.bm, e, nodes=21
+    ),
+}
+
+
+@pytest.mark.parametrize("eta2", [-0.5, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(_ETA2_ENTRY_POINTS))
+def test_a_bad_channel_variance_is_refused_where_it_is_used(one_trial, entry, eta2):
+    """A channel variance that is not finite and positive is refused with one
+    message by every function that takes it, whether given as a scalar or as
+    one sensor's entry, rather than producing a bound, an estimate or a
+    likelihood from it."""
+    call = _ETA2_ENTRY_POINTS[entry]
+    call(one_trial, 0.4)  # the same call at a valid eta2 runs
+    for bad in (eta2, np.array([0.4, 0.4, eta2, 0.4, 0.4, 0.4])):
+        with pytest.raises(ValueError, match="channel variances must be finite and positive"):
+            call(one_trial, bad)

@@ -6,33 +6,29 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
 import fieldest.crlb as crlb_mod
 from fieldest import (
     BitMapper,
     CompositionGuardError,
-    FieldParams,
     FisherMatrix,
     GAUSSIAN_BELL,
     GaussianBellModel,
     SingularFisherError,
-    compositions,
     crlb_from_fisher,
     fisher_analog,
     fisher_quantized_series,
     fisher_quantized_simpson,
-    gamma_quadrature,
     lambda_term,
     level_probabilities,
     make_uniform_quantizer,
-    p_derivatives,
     series_term_count,
 )
 
 from fieldest._quadrature import simpson_nodes_weights
+from fieldest.channel import _p_slopes
 
-from conftest import make_network, quantized_loglik_derivs
+from conftest import gaussian_product_integral, grid_gamma, make_network, quantized_loglik_derivs
 
 
 # ------------------------------------------------------------ FisherMatrix
@@ -41,9 +37,7 @@ from conftest import make_network, quantized_loglik_derivs
 def test_fisher_matrix_validates_symmetry():
     with pytest.raises(ValueError):
         FisherMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), "test")
-    fm = FisherMatrix(np.eye(3) * 2.0, "test")
-    assert fm.min_eigenvalue == pytest.approx(2.0)
-    np.testing.assert_allclose(fm.crlb_diag, 0.5)
+    np.testing.assert_allclose(crlb_from_fisher(FisherMatrix(np.eye(3) * 2.0, "test")), 0.5)
 
 
 def test_crlb_from_fisher_identity_and_singular():
@@ -96,7 +90,10 @@ def _compositions_brute(total, parts):
 
 @pytest.mark.parametrize("total,parts", [(0, 1), (3, 1), (2, 2), (4, 3), (3, 4), (5, 2)])
 def test_compositions_match_brute_force(total, parts):
-    got = list(compositions(total, parts))
+    """The composition table's rows of one total are that total's weak
+    compositions, each once, in lexicographic order."""
+    table, totals = crlb_mod._composition_table(total, parts)
+    got = [tuple(int(v) for v in row) for row in table[totals == total]]
     brute = sorted(_compositions_brute(total, parts))
     assert sorted(got) == brute
     assert len(set(got)) == len(got)
@@ -104,19 +101,12 @@ def test_compositions_match_brute_force(total, parts):
     assert len(got) == math.comb(total + parts - 1, parts - 1)
 
 
-def test_compositions_validation():
-    with pytest.raises(ValueError):
-        list(compositions(-1, 2))
-    with pytest.raises(ValueError):
-        list(compositions(2, 0))
-
-
 @given(zeta=st.integers(0, 8), m_exp=st.integers(1, 3))
 @settings(deadline=None, max_examples=60)
 def test_series_term_count_counts_the_enumeration(zeta, m_exp):
     m = 2**m_exp
     brute = sum(
-        len(list(compositions(n - w, m))) for n in range(zeta + 1) for w in range(n + 1)
+        len(_compositions_brute(n - w, m)) for n in range(zeta + 1) for w in range(n + 1)
     )
     assert series_term_count(zeta, m) == brute
 
@@ -153,24 +143,6 @@ def test_lattice_points_decode_every_composition(zeta, m):
 # ------------------------------------------------------------ lambda term
 
 
-def _lambda_defining_integral(ell, j, i, bm, eta2):
-    """Per-axis product of 1-D integrals: every factor of the integrand is a
-    product of Gaussians exp(-(z - b)^2 / (2 eta^2)) in a single coordinate."""
-    book = bm.codebook
-    total = 1.0
-    for axis in range(bm.alpha):
-        bits = [book[j - 1, axis], book[i - 1, axis]]
-        for v, reps in enumerate(ell):
-            bits.extend([book[v, axis]] * int(reps))
-
-        def f(z):
-            return math.exp(-sum((z - b) ** 2 for b in bits) / (2.0 * eta2))
-
-        val, _ = integrate.quad(f, -30, 31, epsabs=1e-13, limit=300)
-        total *= val / math.sqrt(2.0 * math.pi * eta2)
-    return total
-
-
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_lambda_term_matches_defining_integral(alpha):
     bm = BitMapper(alpha)
@@ -180,7 +152,7 @@ def test_lambda_term_matches_defining_integral(alpha):
         j, i = rng.integers(1, bm.m + 1, size=2)
         eta2 = rng.uniform(0.1, 1.5)
         got = lambda_term(ell, int(j), int(i), bm, eta2)
-        ref = _lambda_defining_integral(ell, int(j), int(i), bm, eta2)
+        ref = gaussian_product_integral(ell, int(j), int(i), bm, eta2)
         assert got == pytest.approx(ref, rel=1e-8)
 
 
@@ -207,58 +179,26 @@ def test_lambda_term_validation():
 # ------------------------------------------------------- p derivatives
 
 
-def test_p_derivatives_match_finite_differences(truth):
+def test_p_slopes_match_finite_differences():
+    """dp/dg and d2p/dg2 of the level probabilities, as the Fisher routes and
+    NR compute them, against central differences of level_probabilities in g.
+    Each sums to 0 over the levels (the probabilities sum to 1), which is why
+    no Fisher route needs the field Hessian."""
     quantizer = make_uniform_quantizer(8, 0.0, 12.0)
-    sigma = 0.63
-    x, y = 3.1, 4.8
-    theta = truth.as_array()
+    g = np.array([-1.3, 0.4, 2.9, 6.0, 7.7, 11.2, 13.5])
+    sigma = np.array([0.63, 0.3, 1.1, 0.63, 2.0, 0.45, 0.8])
+    dp, d2p = _p_slopes(quantizer, g, sigma)
+    assert dp.shape == d2p.shape == (g.size, 8)
+    np.testing.assert_allclose(dp.sum(axis=1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(d2p.sum(axis=1), 0.0, atol=1e-12)
 
-    def probs(th):
-        params = FieldParams.from_array(th)
-        return level_probabilities(quantizer, float(GAUSSIAN_BELL.value(params, x, y)), sigma)
+    def p_at(gv):
+        return level_probabilities(quantizer, gv, sigma)
 
-    params = FieldParams.from_array(theta)
-    g = float(GAUSSIAN_BELL.value(params, x, y))
-    dp, d2p = p_derivatives(
-        quantizer, g, GAUSSIAN_BELL.gradient(params, x, y), GAUSSIAN_BELL.hessian(params, x, y),
-        sigma,
-    )
-    assert dp.shape == (8, 5)
-    assert d2p.shape == (8, 5, 5)
-    # probabilities always sum to one, so their derivatives sum to zero
-    np.testing.assert_allclose(dp.sum(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(d2p.sum(axis=0), 0.0, atol=1e-12)
-    fd = np.empty((8, 5))
-    for s in range(5):
-        step = 1e-6 * max(1.0, abs(theta[s]))
-        up, dn = theta.copy(), theta.copy()
-        up[s] += step
-        dn[s] -= step
-        fd[:, s] = (probs(up) - probs(dn)) / (2 * step)
-    assert np.abs(dp - fd).max() < 1e-7
-
-    def dp_of(th):
-        params = FieldParams.from_array(th)
-        g_val = float(GAUSSIAN_BELL.value(params, x, y))
-        return p_derivatives(
-            quantizer, g_val,
-            GAUSSIAN_BELL.gradient(params, x, y), GAUSSIAN_BELL.hessian(params, x, y), sigma,
-        )[0]
-
-    fd2 = np.empty((8, 5, 5))
-    for s in range(5):
-        step = 1e-6 * max(1.0, abs(theta[s]))
-        up, dn = theta.copy(), theta.copy()
-        up[s] += step
-        dn[s] -= step
-        fd2[:, :, s] = (dp_of(up) - dp_of(dn)) / (2 * step)
-    assert np.abs(d2p - fd2).max() < 1e-6
-
-
-def test_p_derivatives_validation(truth):
-    quantizer = make_uniform_quantizer(2, 0.0, 12.0)
-    with pytest.raises(ValueError):
-        p_derivatives(quantizer, 1.0, np.zeros(5), np.zeros((5, 5)), 0.0)
+    h = 1e-5
+    assert np.abs(dp - (p_at(g + h) - p_at(g - h)) / (2 * h)).max() < 1e-7
+    h = 1e-4  # the second difference loses twice the digits to rounding
+    assert np.abs(d2p - (p_at(g + h) - 2 * p_at(g) + p_at(g - h)) / h**2).max() < 1e-6
 
 
 # ----------------------------------------------------- gamma quadrature
@@ -270,7 +210,7 @@ def test_gamma_quadrature_is_one():
         bm = BitMapper(alpha)
         quantizer = make_uniform_quantizer(bm.m, 0.0, 12.0)
         for _ in range(3):
-            gamma = gamma_quadrature(
+            gamma = grid_gamma(
                 quantizer, bm,
                 g=rng.uniform(0, 12), sigma=rng.uniform(0.3, 2.0),
                 eta2=rng.uniform(0.2, 1.2),
@@ -278,16 +218,14 @@ def test_gamma_quadrature_is_one():
             np.testing.assert_allclose(gamma, 1.0, atol=1e-6)
 
 
-def test_gamma_quadrature_node_validation():
-    bm = BitMapper(1)
-    quantizer = make_uniform_quantizer(2, 0.0, 12.0)
-    with pytest.raises(ValueError):
-        gamma_quadrature(quantizer, bm, 5.0, 1.0, 0.5, nodes=80)
-    with pytest.raises(ValueError):
-        gamma_quadrature(quantizer, bm, 5.0, 1.0, 0.5, nodes=19)
-
-
 # ------------------------------------------------------------- series
+
+
+def _theta_slopes(net, quantizer, bm, eta2, truth):
+    """The series route's own inputs: p (K, M) and dp/dtheta = dp/dg grad G
+    (K, M, 5) at the truth."""
+    _, p, dp_dg, grads = crlb_mod._quantized_inputs(net, GAUSSIAN_BELL, truth, quantizer, bm, eta2)
+    return p, dp_dg[:, :, None] * grads[:, None, :]
 
 
 def _fisher_truncated_integrand_oracle(net, quantizer, bm, eta2, zeta, truth):
@@ -295,11 +233,7 @@ def _fisher_truncated_integrand_oracle(net, quantizer, bm, eta2, zeta, truth):
     1/x by sum_{n<=zeta} (1-x)^n inside the integral.  Only practical for
     alpha = 1, which is all this oracle is used for."""
     assert bm.alpha == 1
-    g = GAUSSIAN_BELL.value(truth, net.x, net.y)
-    grads = GAUSSIAN_BELL.gradient(truth, net.x, net.y)
-    hesses = GAUSSIAN_BELL.hessian(truth, net.x, net.y)
-    sigma = np.sqrt(net.sigma2)
-    p = level_probabilities(quantizer, g, sigma)
+    p, dp = _theta_slopes(net, quantizer, bm, eta2, truth)
     eta = math.sqrt(eta2)
     z_nodes = np.linspace(-6 * eta, 1 + 6 * eta, 4001)
     w = np.full(z_nodes.size, z_nodes[1] - z_nodes[0])
@@ -309,13 +243,10 @@ def _fisher_truncated_integrand_oracle(net, quantizer, bm, eta2, zeta, truth):
     for k in range(net.k):
         x = e @ p[k]
         inv_trunc = sum((1.0 - x) ** n for n in range(zeta + 1))
-        dpk, d2pk = p_derivatives(quantizer, g[k], grads[k], hesses[k], sigma[k])
-        v = e @ dpk  # (nodes, 5): sum_j dp_j e_j(z)
-        phi_int = np.einsum("n,ns,nt->st", w * inv_trunc, v, v) / math.sqrt(
+        v = e @ dp[k]  # (nodes, 5): sum_j dp_j e_j(z)
+        entries += np.einsum("n,ns,nt->st", w * inv_trunc, v, v) / math.sqrt(
             2 * math.pi * eta2
         )
-        gamma_term = np.einsum("nj,n->j", e, w) / math.sqrt(2 * math.pi * eta2)
-        entries += phi_int - np.einsum("jst,j->st", d2pk, gamma_term)
     return entries
 
 
@@ -343,10 +274,7 @@ def test_series_matches_its_sum_over_compositions(truth, area, zeta, m):
     bm = BitMapper(m.bit_length() - 1)
     eta2 = 0.5468
     got = fisher_quantized_series(net, GAUSSIAN_BELL, truth, quantizer, bm, eta2, zeta)
-    g = GAUSSIAN_BELL.value(truth, net.x, net.y)
-    grads = GAUSSIAN_BELL.gradient(truth, net.x, net.y)
-    sigma = np.sqrt(net.sigma2)
-    p = level_probabilities(quantizer, g, sigma)
+    p, dp = _theta_slopes(net, quantizer, bm, eta2, truth)
     levels = range(1, bm.m + 1)
     phi = np.zeros((net.k, bm.m, bm.m))
     for w in range(zeta + 1):
@@ -357,8 +285,7 @@ def test_series_matches_its_sum_over_compositions(truth, area, zeta, m):
             phi += wt[:, None, None] * lam
     entries = np.zeros((5, 5))
     for k in range(net.k):
-        dpk, _ = p_derivatives(quantizer, g[k], grads[k], np.zeros((5, 5)), sigma[k])
-        entries += dpk.T @ phi[k] @ dpk
+        entries += dp[k].T @ phi[k] @ dp[k]
     np.testing.assert_allclose(got.entries, entries, rtol=1e-12, atol=0)
 
 
@@ -403,14 +330,11 @@ def test_series_zeta_zero_drops_every_phi_cross_term(truth, area):
     bm = BitMapper(1)
     eta2 = 0.5468
     got = fisher_quantized_series(net, GAUSSIAN_BELL, truth, quantizer, bm, eta2, 0)
-    g = GAUSSIAN_BELL.value(truth, net.x, net.y)
-    grads = GAUSSIAN_BELL.gradient(truth, net.x, net.y)
-    hesses = GAUSSIAN_BELL.hessian(truth, net.x, net.y)
+    _, dp = _theta_slopes(net, quantizer, bm, eta2, truth)
+    lam = np.array([[lambda_term(np.zeros(2), j, i, bm, eta2) for i in (1, 2)] for j in (1, 2)])
     entries = np.zeros((5, 5))
     for k in range(net.k):
-        dpk, d2pk = p_derivatives(quantizer, g[k], grads[k], hesses[k], math.sqrt(net.sigma2[k]))
-        lam = np.array([[lambda_term(np.zeros(2), j, i, bm, eta2) for i in (1, 2)] for j in (1, 2)])
-        entries += dpk.T @ lam @ dpk - d2pk.sum(axis=0)
+        entries += dp[k].T @ lam @ dp[k]
     np.testing.assert_allclose(got.entries, entries, rtol=1e-10, atol=1e-12)
 
 
@@ -472,7 +396,7 @@ def test_simpson_matches_score_outer_product_mc(truth, area, quantized_15db, sig
 
 def test_quantized_routes_ignore_second_derivatives(truth, area):
     """The Fisher identity's second-derivative term is sum_j d2p_kj, which is
-    0 by math (test_p_derivatives_match_finite_differences pins it), so no
+    0 by math (test_p_slopes_match_finite_differences pins it), so no
     quantized route may need the field Hessian: with a model whose hessian
     raises, the series and Simpson results are those of GAUSSIAN_BELL."""
 
@@ -565,7 +489,8 @@ def test_quantized_information_never_exceeds_the_reading(truth, area, alpha):
     bm = BitMapper(alpha)
     for seed in (3, 8, 13):
         net = make_network(12, area, 0.3937, seed=seed)
-        ceiling = fisher_analog(net, GAUSSIAN_BELL, truth, 0.0).entries
+        grads = GAUSSIAN_BELL.gradient(truth, net.x, net.y)
+        ceiling = np.einsum("k,ks,kt->st", 1.0 / net.sigma2, grads, grads)
         scale = np.abs(ceiling).max()
         for eta2 in (0.05, 0.5):
             args = (net, GAUSSIAN_BELL, truth, quantizer, bm, eta2)

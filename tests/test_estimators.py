@@ -2,17 +2,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.stats import norm, truncnorm
 
 from fieldest import (
     BitMapper,
     FieldParams,
     GAUSSIAN_BELL,
+    ReceivedMatrix,
     SolverConfig,
     amplify_forward,
     em_estimate,
-    em_quantities,
     level_probabilities,
     loglik_analog,
     loglik_quantized,
@@ -21,7 +21,6 @@ from fieldest import (
     newton_ml_analog_batch,
     nr_estimate_quantized,
     q_function,
-    quantize,
     quantize_forward,
     sample_observations,
 )
@@ -35,7 +34,13 @@ from fieldest.estimators import (
 )
 from fieldest.experiments import ExperimentConfig, resolve_cells
 
-from conftest import assert_same_outcome, make_network, quantized_loglik_derivs
+from conftest import (
+    assert_same_outcome,
+    make_network,
+    posterior_mean,
+    posterior_quadrature,
+    quantized_loglik_derivs,
+)
 
 
 def _analog_data(truth, area, sigma2, eta2, k=40, seed=100):
@@ -188,6 +193,9 @@ def test_loglik_quantized_shape_checks(truth, area, quantized_15db, sigma2_15db)
         loglik_quantized(z, wrong_net, quantizer, bm, GAUSSIAN_BELL, truth, eta2)
     with pytest.raises(ValueError):
         loglik_quantized(z, net, make_uniform_quantizer(4, 0, 12), bm, GAUSSIAN_BELL, truth, eta2)
+    # a word one bit short of alpha
+    with pytest.raises(ValueError, match=r"expected shape \(10, 3\)"):
+        loglik_quantized(ReceivedMatrix(z.z[:, :-1]), net, quantizer, bm, GAUSSIAN_BELL, truth, eta2)
 
 
 def test_quantized_loglik_gradient_matches_finite_differences(
@@ -247,26 +255,6 @@ def test_quantized_loglik_hessian_matches_finite_differences(
 # ------------------------------------------------------------------- EM
 
 
-def _em_quantities_quad_oracle(z_k, quantizer, bm, g, sigma, eta2):
-    """A and B by adaptive 1-D quadrature of the posterior over the latent
-    reading: the integrand weights the normal density by the bit likelihood
-    of whatever cell the reading falls in."""
-    d = -np.sum((np.asarray(z_k) - bm.codebook) ** 2, axis=1) / (2.0 * eta2)
-    d -= d.max()  # common scaling cancels in every ratio below
-    e = np.exp(d)
-    lo, hi = g - 10 * sigma, g + 10 * sigma
-    pts = [t for t in quantizer.boundaries[1:-1] if lo < t < hi]
-
-    def weight(r):
-        return e[quantize(quantizer, float(r)) - 1] * norm.pdf(r, g, sigma)
-
-    mass, _ = integrate.quad(weight, lo, hi, points=pts, limit=200, epsabs=1e-14)
-    mean, _ = integrate.quad(lambda r: r * weight(r), lo, hi, points=pts, limit=200, epsabs=1e-14)
-    p = level_probabilities(quantizer, g, sigma)
-    den = float(p @ e)
-    return mean / den, mass / den
-
-
 @pytest.mark.parametrize("m", [2, 4, 8])
 def test_em_quantities_match_quadrature(m):
     quantizer = make_uniform_quantizer(m, 0.0, 12.0)
@@ -278,8 +266,8 @@ def test_em_quantities_match_quadrature(m):
         eta2 = rng.uniform(0.1, 1.5)
         level = rng.integers(1, m + 1)
         z_k = bm.codebook[level - 1] + np.sqrt(eta2) * rng.standard_normal(bm.alpha)
-        a = em_quantities(z_k, quantizer, bm, g, sigma, eta2)
-        a_ref, b_ref = _em_quantities_quad_oracle(z_k, quantizer, bm, g, sigma, eta2)
+        a = posterior_mean(z_k, quantizer, bm, g, sigma, eta2)
+        a_ref, b_ref = posterior_quadrature(z_k, quantizer, bm, g, sigma, eta2)
         assert a == pytest.approx(a_ref, abs=1e-8)
         # the posterior mass is 1, which is why the M-step is the analog
         # least-squares fit to A and no B is carried
@@ -295,18 +283,12 @@ def test_em_quantities_far_tail_words(z_k, g, sigma, eta2):
     every other bit likelihood below the float range once scaled by the
     nearest one: the posterior still lives on [3, 6), the only level whose
     mass times bit likelihood is representable, so A is the mean of
-    N(g, sigma^2) truncated to that cell (the quadrature oracle above
-    underflows here)."""
+    N(g, sigma^2) truncated to that cell (the quadrature oracle,
+    conftest.posterior_quadrature, underflows here)."""
     quantizer = make_uniform_quantizer(4, 0.0, 12.0)
-    a = em_quantities(np.array(z_k), quantizer, BitMapper(2), g, sigma, eta2)
+    a = posterior_mean(np.array(z_k), quantizer, BitMapper(2), g, sigma, eta2)
     ref = truncnorm((3.0 - g) / sigma, (6.0 - g) / sigma, loc=g, scale=sigma).mean()
     assert a == pytest.approx(ref, abs=1e-9)
-
-
-def test_em_quantities_input_check():
-    quantizer = make_uniform_quantizer(4, 0.0, 12.0)
-    with pytest.raises(ValueError):
-        em_quantities(np.zeros(3), quantizer, BitMapper(2), 5.0, 1.0, 0.5)
 
 
 def test_em_score_equals_incomplete_data_score(truth, area, quantized_15db, sigma2_15db):
