@@ -15,25 +15,24 @@ readings; the M-step is the analog least-squares fit to A_k, solved by the
 same inner damped Newton), or Newton-Raphson directly on the mixture
 log-likelihood as a baseline.
 
-Every Newton iteration here runs in one damped-Newton core,
-``_damped_newton_ascent``, batched over a leading trial axis: iterates are
-(T, 5), sensor arrays (T, K), the Newton systems one stacked solve, and the
-line search keeps a mask of the rows still searching.  A row leaves the
-working set when it converges, stalls, fails or hits the cap, and the set is
-compacted only then.  Each row's arithmetic is the same as if it ran alone,
-so a trial's estimate does not depend on the batch it ran in, bit for bit.
-Every estimator takes a stack of trials with the same sensor count
-(``newton_ml_analog_batch``, ``nr_estimate_quantized_batch``,
-``em_estimate_batch``); the single-trial functions are batches of one.
+Every estimator is one loop, ``_damped_newton_ascent``, batched over a
+leading trial axis: iterates are (T, 5) and sensor arrays (T, K).  Its step
+moves the working rows one iteration: a damped Newton step for analog ML and
+NR (one stacked solve, and a line search with a mask of the rows still
+searching), the M-step for EM.  The loop alone keeps each row's trace, stall
+count and end; a row leaves the working set when it converges, stalls, fails
+or hits the cap, and the set is compacted only then.  Each row's arithmetic
+is the same as if it ran alone, so a trial's estimate does not depend on the
+batch it ran in, bit for bit; the single-trial functions are batches of one.
 
-Nothing is evaluated twice at one iterate.  The core's objective returns,
-beside each row's value, its evaluation (the field values g, and for the
-quantized likelihood also the level probabilities p and the row maxima of
-log p + d), which travels with the iterate through the line search to the
-derivatives.  A quantized trial's bit distances d are computed once; in EM,
-one evaluation of each new iterate gives its log-likelihood, the next
-E-step and the M-step's starting point, and the M-step hands back the field
-values at its last iterate.
+Nothing is evaluated twice at one iterate.  The objective returns, beside
+each row's value, its evaluation (the field values g, and for the quantized
+likelihood also the level probabilities p and the row maxima of log p + d),
+which travels with the iterate through the step to the derivatives.  A
+quantized trial's bit distances d are computed once; in EM, one evaluation
+of each new iterate gives its log-likelihood, the next E-step and the
+M-step's starting point, and the M-step hands back the field values at its
+last iterate.
 
 All estimators are deterministic functions of (data, init, config) and report
 their iterate path plus the incomplete-data log-likelihood per iterate.
@@ -96,12 +95,6 @@ class EstimateResult:
     divergence_reason: str | None = None
 
 
-def _theta_ok(theta):
-    """Whether a parameter vector, or each row of a stack, is finite with
-    positive spreads."""
-    return np.isfinite(theta).all(axis=-1) & (theta[..., 1] > 0) & (theta[..., 2] > 0)
-
-
 def _newton_direction(hess, grad, cfg):
     """Solve hess @ p = -grad, adding a trace-scaled ridge only if the plain
     factorization fails; None when even the ridged system is unusable."""
@@ -136,6 +129,9 @@ _ENDS = (
     "line_search_failed", "stalled", "max_iterations",
 )
 _CONVERGED, _NONFINITE_F, _NONFINITE_D, _SINGULAR, _NO_ASCENT, _STALLED, _CAPPED = range(1, 8)
+# EM ends a row whose M-step took no step with _INNER + the M-step's code
+_INNER = len(_ENDS)
+_ENDS += tuple(f"inner:{end}" for end in _ENDS)
 
 
 def _any(mask):
@@ -178,17 +174,18 @@ def _ascent_steps(grad, hess, cfg):
 
 
 _ALL = slice(None)
-_NO_ROWS = np.empty(0, dtype=int)
 
 
-def _backtrack(value_fn, theta, f, ev, step, data, todo, cfg):
-    """Backtracking line search of the rows todo (an index array, or _ALL):
-    each halves its step (up to cfg.damping times) until the objective does
-    not decrease at a valid iterate (positive spreads).  All rows still
-    searching are on the same halving, and only they are evaluated.  Returns
-    (iterates, objectives, evaluations, indices of the rows that found no
-    such step); rows that take no step keep theta, f and their rows of ev."""
+def _backtrack(value_fn, theta, f, ev, step, data, end, cfg):
+    """Backtracking line search of the rows whose end code is 0 (every row
+    when end is None): each halves its step (up to cfg.damping times) until
+    the objective does not decrease at a valid iterate (positive spreads).
+    All rows still searching are on the same halving, and only they are
+    evaluated.  Returns (iterates, objectives, evaluations, end codes with
+    _NO_ASCENT where no such step was found, or None when every row took
+    one); rows that take no step keep theta, f and their rows of ev."""
     n = len(theta)
+    todo = _ALL if end is None else np.flatnonzero(end == 0)
     cand, fc, evc = theta, f, ev
     alpha = 1.0
     for _ in range(cfg.damping + 1):
@@ -203,7 +200,7 @@ def _backtrack(value_fn, theta, f, ev, step, data, todo, cfg):
             ft, evt = value_fn(trial, *(data if whole else (a[at] for a in data)))
             up = np.isfinite(ft) & (ft >= (f if whole else f[at]))
             if whole and _all(up):
-                return trial, ft, evt, _NO_ROWS
+                return trial, ft, evt, None
             if _any(up):
                 if cand is theta:
                     cand, fc, evc = theta.copy(), f.copy(), tuple(a.copy() for a in ev)
@@ -218,33 +215,50 @@ def _backtrack(value_fn, theta, f, ev, step, data, todo, cfg):
                 if not len(todo):
                     break
         alpha *= 0.5
-    return cand, fc, evc, np.arange(n)[todo]
+    failed = np.arange(n)[todo]
+    if len(failed):
+        end = np.zeros(n, dtype=int) if end is None else end
+        end[failed] = _NO_ASCENT
+    return cand, fc, evc, end
+
+
+def _newton_step(value_fn, cfg, theta, f, ev, grad, hess, data):
+    """One damped Newton iteration of the working rows: ``_ascent_steps``,
+    then ``_backtrack``."""
+    step, end = _ascent_steps(grad, hess, cfg)
+    return _backtrack(value_fn, theta, f, ev, step, data, end, cfg)
 
 
 def _damped_newton_ascent(
-    value_fn, derivs_fn, theta0, data, cfg, grad_tol, max_iter, stall_limit=3, start=None
+    value_fn, derivs_fn, theta0, data, cfg, grad_tol, max_iter, stall_limit=3, start=None,
+    step=None,
 ):
-    """Maximize each of T objectives from its row of theta0 (T, 5) by damped
-    Newton with backtracking, all T as one array program.
+    """Maximize each of T objectives from its row of theta0 (T, 5), all T
+    as one array program, by the iteration ``step`` makes: damped Newton
+    (``_newton_step``) unless given.
 
     ``value_fn(theta, *data)`` gives the (n,) objectives of n working rows
     and their evaluation: a tuple of per-row by-products (the field values,
     say), which ``derivs_fn(theta, *evaluation, *data)`` reuses to give the
-    (n, 5) gradients and (n, 5, 5) Hessians at the same rows.  Each array in
-    ``data`` has one row per trial.  The evaluation travels with its iterate
-    through the line search and the working set, so no iterate is evaluated
-    twice; ``start`` gives (f, evaluation) at theta0 when the caller already
-    has them.  Convergence means the gradient sup-norm fell below grad_tol
-    (one value, or one per row) with the last step within tol.  A row leaves
-    the working set when it converges, fails, stalls or reaches max_iter;
-    the set is compacted only then, and every row's arithmetic is the same
-    as if it ran alone.
-    Returns, per row, (trace, values, converged, reason, the evaluation at
-    its last iterate).
+    (n, 5) gradients and the step's per-row input (Newton's (n, 5, 5)
+    Hessians).  ``step(theta, f, evaluation, gradients, input, data)`` moves
+    the rows one iteration and returns (iterates, objectives, evaluations,
+    end codes, or None when every row moved).  Each array in ``data`` has one
+    row per trial.  The evaluation travels with its iterate, so no iterate
+    is evaluated twice; ``start`` gives (f, evaluation) at theta0 when the
+    caller already has them.  Convergence means the gradient sup-norm fell
+    below grad_tol (one value, or one per row) with the last step within
+    tol.  A row leaves the working set when it converges, fails, stalls,
+    reaches max_iter or the step ends it; the set is compacted only then,
+    and every row's arithmetic is the same as if it ran alone.
+    Returns, per row, (trace, values, end code, the evaluation at its last
+    iterate).
     """
     theta = np.array(theta0, dtype=float)
-    if not (_all(np.isfinite(theta)) and _all(theta[:, 1:3] > 0)):
-        raise ValueError(f"invalid initial parameters {theta[~_theta_ok(theta)][0]}")
+    ok = np.isfinite(theta).all(axis=1) & (theta[:, 1:3] > 0).all(axis=1)
+    if not _all(ok):
+        raise ValueError(f"invalid initial parameters {theta[~ok][0]}")
+    step = partial(_newton_step, value_fn, cfg) if step is None else step
     n_rows = len(theta)
     rows = np.arange(n_rows)
     ends = [0] * n_rows
@@ -286,7 +300,7 @@ def _damped_newton_ascent(
             break
         grad, hess = derivs_fn(theta, *ev, *data)
         gmax = np.abs(grad).max(axis=1).tolist()  # NaN or inf unless the row is finite
-        hfin = np.isfinite(hess).all(axis=(1, 2)).tolist()
+        hfin = np.isfinite(hess.reshape(len(hess), -1)).all(axis=1).tolist()
         end = [
             _NONFINITE_D if not (ok and math.isfinite(g))
             else _CONVERGED if g < tol and d <= cfg.tol else 0
@@ -296,27 +310,20 @@ def _damped_newton_ascent(
             grad, hess = settle(end, grad, hess)
             if not len(rows):
                 break
-        step, end = _ascent_steps(grad, hess, cfg)
-        todo = _ALL if end is None else np.flatnonzero(end == 0)
-        cand, fc, ev, failed = _backtrack(value_fn, theta, f, ev, step, data, todo, cfg)
+        cand, fc, ev, end = step(theta, f, ev, grad, hess, data)
         last_delta = np.abs(cand - theta).max(axis=1).tolist()
         stalls = [s + 1 if d <= cfg.tol else 0 for s, d in zip(stalls, last_delta)]
         theta, f = cand, fc
-        if end is None and not len(failed):  # every row took a step
+        if end is None:  # every row took a step
             log.append((rows, theta, f))
             if max(stalls) < stall_limit:
                 continue
-            end = [_STALLED if s >= stall_limit else 0 for s in stalls]
+            end = np.zeros(len(rows), dtype=int)
         else:
-            end = np.zeros(len(rows), dtype=int) if end is None else end
-            end[failed] = _NO_ASCENT
             moved = end == 0
             log.append((rows[moved], theta[moved], f[moved]))
-            end = [
-                _STALLED if code == 0 and s >= stall_limit else code
-                for code, s in zip(end.tolist(), stalls)
-            ]
-        settle(end)
+        stalled = [_STALLED if s >= stall_limit else 0 for s in stalls]
+        settle([code or stall for code, stall in zip(end.tolist(), stalled)])
     if len(rows):  # still working at the cap
         settle([_CAPPED] * len(rows))
     ids = np.concatenate([r for r, _, _ in log])
@@ -325,7 +332,7 @@ def _damped_newton_ascent(
     values = np.concatenate([v for _, _, v in log])[order]
     edges = [0, *np.cumsum(np.bincount(ids, minlength=n_rows)).tolist()]
     return [
-        (traces[a:b], values[a:b], code == _CONVERGED, _ENDS[code], last)
+        (traces[a:b], values[a:b], code, last)
         for code, last, a, b in zip(ends, lasts, edges, edges[1:])
     ]
 
@@ -340,16 +347,16 @@ def _chain(d1, d2, grads, hesses):
     return np.matmul(d1[:, None, :], grads)[:, 0], hess
 
 
-def _pack_result(trace, values, converged, reason, _last=()):
+def _pack_result(trace, values, code, _last=()):
     """An EstimateResult from one row of the ascent's outcome."""
     arr = np.asarray(trace)
     return EstimateResult(
         theta_hat=FieldParams.from_array(arr[-1]),
         trace=arr,
         loglik_trace=np.asarray(values),
-        converged=converged,
+        converged=code == _CONVERGED,
         iterations=arr.shape[0] - 1,
-        divergence_reason=reason,
+        divergence_reason=_ENDS[code],
     )
 
 
@@ -376,8 +383,10 @@ def loglik_analog(z, net, model, params, eta2):
 
 
 def _wls_value(model, theta, target, w, x, y):
-    """The least-squares objectives of the rows of theta, and their field
-    values as the evaluation."""
+    """The weighted least-squares objectives -1/2 sum_k w_k (target_k - G_k)^2
+    of the rows of theta, and their field values as the evaluation.  Analog
+    ML fits the readings z with w = 1/(sigma2 + eta2); the EM M-step fits the
+    posterior means A with w = 1/sigma2."""
     g = model.value(_row_params(theta), x, y)
     return _wls_objective(g, target, w), (g,)
 
@@ -385,23 +394,6 @@ def _wls_value(model, theta, target, w, x, y):
 def _wls_derivs(model, theta, g, target, w, x, y):
     params = _row_params(theta)
     return _chain(w * (target - g), -w, model.gradient(params, x, y), model.hessian(params, x, y))
-
-
-def _wls_ascent(target, w, x, y, model, theta0, cfg, grad_tol, max_iter, stall_limit, g0=None):
-    """Fit the field to per-sensor targets by damped Newton ascent on the
-    weighted least-squares objective -1/2 sum_k w_k (target_k - G_k)^2, for a
-    stack of trials: theta0 is (T, 5) and target, w and the sensor
-    coordinates x, y are (T, K); g0, when given, holds the field values at
-    theta0.
-
-    Analog ML fits the readings z with w = 1/(sigma2 + eta2); the EM M-step
-    fits the posterior means A with w = 1/sigma2.
-    """
-    return _damped_newton_ascent(
-        partial(_wls_value, model), partial(_wls_derivs, model), theta0, (target, w, x, y),
-        cfg, grad_tol, max_iter, stall_limit,
-        start=None if g0 is None else (_wls_objective(g0, target, w), (g0,)),
-    )
 
 
 def _check_trials(zs, nets, word=()):
@@ -436,9 +428,10 @@ def newton_ml_analog_batch(zs, nets, model, eta2, inits, cfg):
     trial alone, bit for bit."""
     zv, w, x, y = _analog_rows([z.z for z in zs], nets, eta2)
     k = zv.shape[1]
-    outcomes = _wls_ascent(
-        zv, w, x, y, model, np.array([init.as_array() for init in inits]), cfg,
-        grad_tol=1e-4 * k, max_iter=cfg.max_outer, stall_limit=3,
+    outcomes = _damped_newton_ascent(
+        partial(_wls_value, model), partial(_wls_derivs, model),
+        np.array([init.as_array() for init in inits]), (zv, w, x, y), cfg,
+        grad_tol=1e-4 * k, max_iter=cfg.max_outer,
     )
     return [_pack_result(*out) for out in outcomes]
 
@@ -554,90 +547,76 @@ def nr_estimate_quantized(z, net, quantizer, bm, model, eta2, init, cfg):
 
 
 def em_estimate_batch(zs, nets, quantizer, bm, model, eta2, inits, cfg):
-    """Full EM runs of T trials with the same sensor count: each outer
-    iteration makes one E-step call and one core call for the M-steps (the
-    analog least-squares fits to the posterior means) of the trials still
+    """Full EM runs of T trials with the same sensor count, as one ascent in
+    the core whose step is the M-step: the analog least-squares fit to the
+    posterior means, by the inner damped Newton, for every trial still
     running.  Each trace records the quantized log-likelihood, which EM does
     not decrease beyond roundoff.  Each result equals ``em_estimate`` on that
     trial alone, bit for bit."""
-    (d, sigma, x, y), sigma2 = _quantized_rows([z.z for z in zs], nets, quantizer, bm, eta2)
-    theta = np.array([init.as_array() for init in inits], dtype=float)
-    if not _all(_theta_ok(theta)):
-        raise ValueError(f"invalid initial parameters {theta[~_theta_ok(theta)][0]}")
-    n, k = x.shape
+    data, sigma2 = _quantized_rows([z.z for z in zs], nets, quantizer, bm, eta2)
     w = 1.0 / sigma2
-    inner_tol = 1e-7 * k * np.maximum(1.0, np.mean(w, axis=1))
-    score_tol = 1e-5 * k
+    data += (w, 1e-7 * nets[0].k * np.maximum(1.0, np.mean(w, axis=1)))
+    score_tol = 1e-5 * nets[0].k
 
-    def score_max(rows, a_val):
-        """max |score| of the rows at theta: the M-step score
+    def value(theta, d, sigma, x, y, *_):
+        """NR's evaluation, and a flag per row that its last step was within
+        tol (true at the start): only there is the score computed."""
+        ll, ev = _nr_value(quantizer, model, theta, d, sigma, x, y)
+        return ll, (*ev, np.ones(len(theta), dtype=bool))
+
+    def score(rows, theta, a_val, g, x, y, w):
+        """The score at the rows of theta: the M-step score
         sum_k w_k (A_k - g_k) grad G_k equals the incomplete-data score."""
         grads = model.gradient(_row_params(theta[rows]), x[rows], y[rows])
-        score = np.matmul((w[rows] * (a_val - g[rows]))[:, None, :], grads)[:, 0]
-        return np.abs(score).max(axis=1)
+        return np.matmul((w[rows] * (a_val[rows] - g[rows]))[:, None, :], grads)[:, 0]
 
-    g = model.value(_row_params(theta), x, y)
-    values, p, amax = _mixture_at(quantizer, g, d, sigma)
-    traces = [[row.copy()] for row in theta]
-    logliks = [[v] for v in values.tolist()]
-    # per row: the last step's sup-norm (0 before the first, so the first
-    # score is computed), the run of steps within tol, and how it ended (the
-    # reason is reported only when not converged)
-    last_delta, stalls = np.zeros(n), np.zeros(n, dtype=int)
-    converged, reasons = np.zeros(n, dtype=bool), ["max_iterations"] * n
-    run = np.arange(n)
-    for _ in range(cfg.max_outer):
-        a_val = _posterior_means(quantizer, g[run], p[run], amax[run], d[run], sigma[run])
-        # the score is needed only after a step within tol, which every
-        # stall below follows too
-        scored = last_delta[run] <= cfg.tol
-        smax = np.full(len(run), np.nan)
-        if _any(scored):
-            smax[scored] = score_max(run[scored], a_val[scored])
-        done = smax < score_tol
-        converged[run[done]] = True
-        run, a_val, smax, scored = run[~done], a_val[~done], smax[~done], scored[~done]
-        if not len(run):
-            break
-        outcomes = _wls_ascent(
-            a_val, w[run], x[run], y[run], model, theta[run], cfg, inner_tol[run],
-            cfg.max_inner, stall_limit=1, g0=g[run],
+    def e_step(theta, g, p, amax, within, d, sigma, x, y, w, _):
+        """The posterior means, and the score where the core reads it.  A NaN
+        score is left to the M-step (its first gradient) to end the row."""
+        a_val = _posterior_means(quantizer, g, p, amax, d, sigma)
+        s = np.zeros_like(theta)
+        if _any(within):
+            s[within] = score(within, theta, a_val, g, x, y, w)
+            np.nan_to_num(s, copy=False, nan=np.finfo(float).max)
+        return s, a_val
+
+    def m_step(theta, f, ev, s, a_val, data):
+        d, sigma, x, y, w, inner_tol = data
+        g, p, amax, within = ev
+        outcomes = _damped_newton_ascent(
+            partial(_wls_value, model), partial(_wls_derivs, model), theta, (a_val, w, x, y),
+            cfg, inner_tol, cfg.max_inner, 1, start=(_wls_objective(g, a_val, w), (g,)),
         )
         new = np.array([trace[-1] for trace, *_ in outcomes])
+        codes = np.array([code for _, _, code, _ in outcomes])
+        g = np.array([last[0] for *_, last in outcomes])
         # an M-step that takes no ascent step at all ends its row: the
         # surrogate admits none from here, which is a stationary point when
         # the score is small.  A partially maximized surrogate is still a
         # valid step (the ascent property only needs improvement).
-        stuck = (new == theta[run]).all(axis=1) & np.array(
-            [out[3] not in (None, "stalled", "max_iterations") for out in outcomes]
-        )
-        late = stuck & ~scored
-        if _any(late):
-            smax[late] = score_max(run[late], a_val[late])
-        converged[run[stuck]] = smax[stuck] < score_tol
-        for j in np.flatnonzero(stuck).tolist():
-            reasons[run[j]] = f"inner:{outcomes[j][3]}"
-        moved, new = run[~stuck], new[~stuck]
-        if not len(moved):
-            break
-        last_delta[moved] = np.abs(new - theta[moved]).max(axis=1)
-        stalls[moved] = np.where(last_delta[moved] <= cfg.tol, stalls[moved] + 1, 0)
-        theta[moved] = new
-        g[moved] = [out[4][0] for out, s in zip(outcomes, stuck.tolist()) if not s]
-        values, p[moved], amax[moved] = _mixture_at(quantizer, g[moved], d[moved], sigma[moved])
-        for i, row, value in zip(moved.tolist(), new, values.tolist()):
-            traces[i].append(row)
-            logliks[i].append(value)
-        stalled = (stalls[moved] >= 3) & (smax[~stuck] >= score_tol)
-        for i in moved[stalled].tolist():
-            reasons[i] = "stalled"
-        run = moved[~stalled]
-        if not len(run):
-            break
-    return [
-        _pack_result(trace, loglik, ok, None if ok else reason)
-        for trace, loglik, ok, reason in zip(traces, logliks, converged.tolist(), reasons)
-    ]
+        stuck = (new == theta).all(axis=1) & (codes > _CONVERGED) & (codes < _STALLED)
+        if not _any(stuck):
+            end = None
+            f, p, amax = _mixture_at(quantizer, g, d, sigma)
+        else:
+            late = stuck & ~within
+            if _any(late):
+                s[late] = score(late, theta, a_val, g, x, y, w)
+            ok = np.abs(s).max(axis=1) < score_tol
+            end = np.where(stuck, np.where(ok, _CONVERGED, _INNER + codes), 0)
+            moved = ~stuck
+            f, p, amax = f.copy(), p.copy(), amax.copy()  # the ending rows keep theirs
+            if _any(moved):
+                f[moved], p[moved], amax[moved] = _mixture_at(
+                    quantizer, g[moved], d[moved], sigma[moved]
+                )
+        return new, f, (g, p, amax, np.abs(new - theta).max(axis=1) <= cfg.tol), end
+
+    outcomes = _damped_newton_ascent(
+        value, e_step, np.array([init.as_array() for init in inits]), data, cfg,
+        grad_tol=score_tol, max_iter=cfg.max_outer, step=m_step,
+    )
+    return [_pack_result(*out) for out in outcomes]
 
 
 def em_estimate(z, net, quantizer, bm, model, eta2, init, cfg):

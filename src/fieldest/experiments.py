@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -159,6 +160,19 @@ class ExperimentConfig:
             raise ConfigError("quadrature grid must be odd and >= 11")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        # a noise variance is a mean power over 10^(snr/10); on the quantized
+        # channel the power lies between the extreme squared levels
+        mean_sq = _mean_square(GAUSSIAN_BELL, self.truth, self.area, self.grid)
+        bounds = []
+        if self.channel == "quantized":
+            lo, hi = self.quantizer_lo, self.quantizer_hi
+            nu = [make_uniform_quantizer(m, lo, hi).reproduction for m in self.m_values]
+            nu2 = np.concatenate(nu) ** 2
+            bounds = [nu2.max(), nu2[nu2 > 0].min()]
+        for so, sc in paired_snrs(self.snr_o_db, self.snr_c_db):
+            sigma2 = _noise_variance("snr.observation_db", mean_sq, so)
+            for power in bounds or [mean_sq + sigma2]:
+                _noise_variance("snr.channel_db", power, sc)
 
     @property
     def tau_grid(self):
@@ -191,6 +205,15 @@ class TrialRecord:
     se: float | None
     converged: bool
     error: str | None = None
+
+
+def _noise_variance(key, power, snr_db):
+    """``_at_snr``, refused unless it is a finite positive float."""
+    with suppress(OverflowError, ZeroDivisionError):
+        var = _at_snr(float(power), snr_db)
+        if math.isfinite(var) and var > 0:
+            return var
+    raise ConfigError(f"{key} = {snr_db} gives a noise variance outside the positive floats")
 
 
 def paired_snrs(snr_o_db, snr_c_db):
@@ -460,11 +483,6 @@ def _cell_trials(cfg, cell, data_cell_id, calib, executor):
     chunks = _trial_chunks(cfg, cell.k)
     batches = map(run, chunks) if executor is None else executor.map(run, chunks)
     return [record for batch in batches for record in batch]
-
-
-def run_cell_trials(cfg, cell, data_cell_id):
-    """All trial records for one cell, in trial order."""
-    return _cell_trials(cfg, cell, data_cell_id, _cell_calibration(cfg, cell), None)
 
 
 # ----------------------------------------------------------------- campaign

@@ -42,7 +42,8 @@ from fieldest import (
     run_campaign,
     sample_observations,
 )
-from fieldest.experiments import resolve_cells, run_cell_trials
+from fieldest import experiments
+from fieldest.experiments import resolve_cells
 
 from conftest import (
     gaussian_product_integral,
@@ -367,7 +368,8 @@ def test_em_loglik_ascends_on_every_trial():
         crlb_enabled=False,
     )
     cells, ids = resolve_cells(cfg)
-    records = run_cell_trials(cfg, cells[0], ids[0])
+    calib = experiments._cell_calibration(cfg, cells[0])
+    records = experiments._cell_trials(cfg, cells[0], ids[0], calib, None)
     worst_drop = np.inf
     n_traces = 0
     hard_failures = 0

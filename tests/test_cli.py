@@ -246,6 +246,27 @@ def test_non_finite_snr_exit_code(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["campaign", "crlb"])
+@pytest.mark.parametrize(
+    "base, key, value",
+    [
+        pytest.param(ANALOG_CFG, "snr.channel_db", "4000", id="analog-channel-4000"),
+        pytest.param(ANALOG_CFG, "snr.channel_db", "-3300", id="analog-channel--3300"),
+        pytest.param(ANALOG_CFG, "snr.observation_db", "15, 4000", id="observation-4000"),
+        pytest.param(ANALOG_CFG, "snr.observation_db", "-3080", id="observation--3080"),
+        pytest.param(QUANTIZED_CFG, "snr.channel_db", "4000", id="quantized-channel-4000"),
+        pytest.param(QUANTIZED_CFG, "snr.channel_db", "-3300", id="quantized-channel--3300"),
+    ],
+)
+def test_extreme_snr_exit_code(tmp_path, capsys, command, base, key, value):
+    # an SNR whose noise variance overflows, underflows to 0 or is infinite
+    # (-3080 dB: the field's mean square times 10^308) is refused up front
+    cfg = _cfg_file(tmp_path, base + f"{key} = {value}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} = " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_collision_exit_code(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, ANALOG_CFG)
     blocker = tmp_path / "occupied"

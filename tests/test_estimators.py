@@ -485,6 +485,55 @@ def test_each_quantized_iterate_is_evaluated_once(monkeypatch):
     assert model.calls == {"value": 791, "gradient": 509, "hessian": 508}
 
 
+class _FailsAfter(_CountingModel):
+    """The counting bell, one of whose methods returns NaN from its call
+    n + 1 on."""
+
+    def __init__(self, name, n):
+        super().__init__()
+        self.name, self.n = name, n
+
+    def _call(self, name, params, x, y):
+        out = super()._call(name, params, x, y)
+        return np.full_like(out, np.nan) if name == self.name and self.calls[name] > self.n else out
+
+
+@pytest.mark.parametrize(
+    ("fails", "m", "n", "trial", "iterations", "reason", "calls"),
+    [
+        ("hessian", 8, 0, 0, 0, "inner:nonfinite_derivatives", (1, 2, 1)),
+        ("hessian", 8, 5, 0, 1, "inner:nonfinite_derivatives", (8, 8, 6)),
+        ("hessian", 8, 5, 1, 2, "inner:nonfinite_derivatives", (6, 9, 7)),
+        ("hessian", 8, 5, 2, 2, "inner:nonfinite_derivatives", (6, 9, 7)),
+        ("hessian", 16, 302, 0, 98, None, (441, 306, 304)),
+        # a NaN score at the E-step: the M-step's first gradient is the same
+        # NaN, and the trial ends there
+        ("gradient", 8, 0, 0, 0, "inner:nonfinite_derivatives", (1, 2, 1)),
+    ],
+)
+def test_an_m_step_that_takes_no_step_ends_its_row(
+    fails, m, n, trial, iterations, reason, calls
+):
+    """When the M-step's inner Newton ends without a step, EM ends the trial:
+    converged when the score is below tolerance, else with the inner reason.
+    The model-call counts pin that the score is computed only where it is
+    read."""
+    net, z, quantizer, bm, eta2, init, cfg = _race_trial(m, trial)
+    model = _FailsAfter(fails, n)
+    res = em_estimate(z, net, quantizer, bm, model, eta2, init, cfg)
+    assert (res.iterations, res.converged, res.divergence_reason) == (
+        iterations, reason is None, reason,
+    )
+    assert tuple(model.calls[k] for k in ("value", "gradient", "hessian")) == calls
+    if reason is None:
+        # the last step was not within tol, so the E-step did not compute the
+        # score: the stuck M-step computed it late.  Unmodified, the trial
+        # runs on to iteration 107.
+        assert np.abs(res.trace[-1] - res.trace[-2]).max() > cfg.tol
+        plain = em_estimate(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, init, cfg)
+        assert (plain.iterations, plain.converged) == (107, True)
+
+
 def test_rows_accepting_at_different_halvings_run_as_alone(monkeypatch):
     """The line search regroups the carried field values when the rows of
     one iteration accept at different halvings; each row still equals its

@@ -32,7 +32,6 @@ from fieldest.experiments import (
     parse_config_text,
     resolve_cells,
     run_campaign,
-    run_cell_trials,
     run_trial,
     squared_error,
 )
@@ -635,7 +634,8 @@ def test_reports_identical_across_worker_counts(monkeypatch, tmp_path):
     # run_trial is a batch of one and gives the campaign's record of that trial
     single = replace(cfg, k_values=(9,))
     cells, ids = resolve_cells(single)
-    records = run_cell_trials(single, cells[0], ids[0])
+    calib = experiments._cell_calibration(single, cells[0])
+    records = experiments._cell_trials(single, cells[0], ids[0], calib, None)
     for t in (0, 6, 14):
         _same_record(run_trial(single, t), records[t])
     qcfg = ExperimentConfig(
@@ -669,7 +669,8 @@ def test_a_batch_equals_its_rows_run_alone():
         cells, ids = resolve_cells(cfg)
         for cell, data_id in zip(cells, ids):
             calib = experiments._cell_calibration(cfg, cell)
-            for trial, record in enumerate(run_cell_trials(cfg, cell, data_id)):
+            records = experiments._cell_trials(cfg, cell, data_id, calib, None)
+            for trial, record in enumerate(records):
                 net, z, init, _ = experiments._trial_inputs(cfg, cell, data_id, trial, calib)
                 alone = newton_ml_analog(z, net, GAUSSIAN_BELL, calib[1], init, cfg.solver)
                 assert_same_outcome(record.result, alone)
@@ -689,7 +690,7 @@ def test_a_batch_equals_its_rows_run_alone():
             for cell, data_id in zip(cells, ids):
                 calib = experiments._cell_calibration(cfg, cell)
                 quantizer, bm = experiments._quantizer(cfg, cell)
-                records = run_cell_trials(cfg, cell, data_id)
+                records = experiments._cell_trials(cfg, cell, data_id, calib, None)
                 for trial, record in enumerate(records):
                     net, z, init, _ = experiments._trial_inputs(cfg, cell, data_id, trial, calib)
                     assert_same_outcome(
@@ -711,9 +712,10 @@ def test_a_raising_row_is_recorded_and_the_others_estimated(monkeypatch):
                          estimator="em"),
     ):
         cells, ids = resolve_cells(cfg)
-        healthy = run_cell_trials(cfg, cells[0], ids[0])
+        calib = experiments._cell_calibration(cfg, cells[0])
+        healthy = experiments._cell_trials(cfg, cells[0], ids[0], calib, None)
         monkeypatch.setattr(estimators, "_modified_steps", broken)
-        records = run_cell_trials(cfg, cells[0], ids[0])
+        records = experiments._cell_trials(cfg, cells[0], ids[0], calib, None)
         monkeypatch.undo()
         failed = [r for r in records if r.result is None]
         assert failed and len(failed) < len(records)
