@@ -13,14 +13,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erfc
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def q_function(x):
-    """Standard Gaussian tail probability Q(x) = P[N(0,1) > x]."""
+    """Standard Gaussian tail probability Q(x) = P[N(0,1) > x].
+
+    SciPy's special functions load at the first call, so the analog channel
+    never imports them."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channel import _channel_variances, _p_slope, level_probabilities
 from ._quadrature import simpson_nodes_weights
@@ -242,6 +241,8 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
     where W_k(w, n) is c_w times the sum of the weights of the compositions
     at (w, n).  The result is symmetrized before output.
     """
+    from scipy.special import gammaln  # loads at the first series bound
+
     m = bm.m
     zeta = _check_series_args(zeta, m)
     eta2v, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)

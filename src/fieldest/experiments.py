@@ -20,7 +20,6 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -148,6 +147,8 @@ class ExperimentConfig:
             raise ConfigError("initial regions must lie in 1..8")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"trials.base_seed must be >= 0, got {self.base_seed}")
         if self.crlb_method not in _CRLB_METHODS:
             raise ConfigError(f"crlb method must be one of {_CRLB_METHODS}")
         if self.crlb_zeta < 0:
@@ -455,13 +456,16 @@ def run_trial(cfg, trial):
 
     Estimator divergence is recorded, never raised.
     """
+    trial = int(trial)
+    if trial < 0:
+        raise ConfigError(f"trial must be >= 0, got {trial}")
     cells, ids = resolve_cells(cfg)
     if len(cells) != 1:
         raise ConfigError(
             f"run_trial needs a single-cell configuration, this one has {len(cells)} cells"
         )
     calib = _cell_calibration(cfg, cells[0])
-    return _run_trials(cfg, cells[0], ids[0], calib, [int(trial)])[0]
+    return _run_trials(cfg, cells[0], ids[0], calib, [trial])[0]
 
 
 # Trial-sensor pairs per estimator batch: bounds the (T, K, 5, 5) Hessian
@@ -544,7 +548,14 @@ def _sweep(cfg, estimators):
     estimator runs on the same trials, in a pool of ``run.workers``
     processes when that is above 1."""
     cells, ids = resolve_cells(cfg)
-    executor = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    executor = None
+    if cfg.workers > 1:
+        # the pool's modules load only here; its workers start at the first
+        # batch, after the first cell's calibration, so a quantized
+        # campaign's workers inherit scipy.special
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=cfg.workers)
     try:
         for cell, data_id in zip(cells, ids):
             calib = _cell_calibration(cfg, cell)

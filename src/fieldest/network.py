@@ -108,6 +108,12 @@ def calibrate_eta_analog(model, params, area, sigma2, snr_c_db, grid=201):
     return _analog_eta2(_mean_square(model, params, area, grid), sigma2, snr_c_db)
 
 
+# Rows per matrix-vector product in the quantized calibration.  One product
+# over 40,401 rows of 16 levels is large enough for OpenBLAS to split across
+# threads, which made it 8 ms instead of 0.4 ms; blocks keep every row's bits.
+_POWER_ROWS = 4096
+
+
 def calibrate_eta_quantized(model, params, area, quantizer, sigma2, snr_c_db, grid=201):
     """Channel-noise variance for the quantized channel.
 
@@ -129,7 +135,10 @@ def calibrate_eta_quantized(model, params, area, quantizer, sigma2, snr_c_db, gr
         g = model.value(params, x, y)
         values, index = np.unique(g.ravel(), return_inverse=True)
         p = level_probabilities(quantizer, values, np.sqrt(sigma2))
-        return (p @ quantizer.reproduction**2)[index].reshape(g.shape)
+        nu2 = quantizer.reproduction**2
+        rows = range(0, values.size, _POWER_ROWS)
+        per_value = np.concatenate([p[i : i + _POWER_ROWS] @ nu2 for i in rows])
+        return per_value[index].reshape(g.shape)
 
     mean_power = simpson_2d(power, area.x_min, area.x_max, area.y_min, area.y_max, grid)
     return _at_snr(mean_power / area.measure, snr_c_db)

@@ -2,6 +2,8 @@
 
 import ast
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,6 +267,61 @@ def test_extreme_snr_exit_code(tmp_path, capsys, command, base, key, value):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"{key} = " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args, line, message",
+    [
+        pytest.param(["simulate", "--seed", "-5"], "", "trials.base_seed", id="simulate-seed"),
+        pytest.param(["campaign", "--seed", "-5"], "", "trials.base_seed", id="campaign-seed"),
+        pytest.param(["crlb", "--seed", "-5"], "", "trials.base_seed", id="crlb-seed"),
+        pytest.param(["campaign"], "trials.base_seed = -5\n", "trials.base_seed", id="config-seed"),
+        pytest.param(["simulate", "--trial", "-1"], "", "trial", id="simulate-trial"),
+    ],
+)
+def test_negative_seed_or_trial_exit_code(tmp_path, capsys, args, line, message):
+    # a seed sequence takes non-negative integers only
+    cfg = _cfg_file(tmp_path, ANALOG_CFG + line)
+    assert main([*args, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message} must be >= 0, got -" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import fieldest.cli as cli
+analog, quantized, out = sys.argv[2:]
+watched = {"scipy.special", "concurrent.futures.process"}
+cli.load_config(analog, {})
+cli.load_config(quantized, {})
+with contextlib.redirect_stdout(io.StringIO()):
+    analog_exit = cli.main(["campaign", "--config", analog, "--out", out])
+    after_analog = sorted(watched & set(sys.modules))
+    crlb_exit = cli.main(["crlb", "--config", quantized])
+print(json.dumps([analog_exit, after_analog, crlb_exit, "scipy.special" in sys.modules]))
+"""
+
+
+def test_analog_commands_load_neither_scipy_special_nor_the_pool(tmp_path):
+    # a fresh interpreter, since this suite imports SciPy itself (conftest.py)
+    analog = _cfg_file(
+        tmp_path,
+        "channel.kind = analog\nnetwork.k = 10\ntrials.count = 3\ncrlb.enabled = true\n",
+        "analog.cfg",
+    )
+    quantized = _cfg_file(
+        tmp_path, "channel.kind = quantized\nchannel.m = 2\nnetwork.k = 10\n", "quantized.cfg"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-s", "-c", _COLD_START, src, analog, quantized, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == [0, [], 0, True]
 
 
 def test_out_collision_exit_code(tmp_path, capsys):
