@@ -18,12 +18,14 @@ log-likelihood as a baseline.
 Every estimator is one loop, ``_damped_newton_ascent``, batched over a
 leading trial axis: iterates are (T, 5) and sensor arrays (T, K).  Its step
 moves the working rows one iteration: a damped Newton step for analog ML and
-NR (one stacked solve, and a line search with a mask of the rows still
-searching), the M-step for EM.  The loop alone keeps each row's trace, stall
-count and end; a row leaves the working set when it converges, stalls, fails
-or hits the cap, and the set is compacted only then.  Each row's arithmetic
-is the same as if it ran alone, so a trial's estimate does not depend on the
-batch it ran in, bit for bit; the single-trial functions are batches of one.
+NR (one stacked solve, the eigenvalue-modified step for any row whose Newton
+step is unusable or points downhill, and a line search with a mask of the
+rows still searching), the M-step for EM.  The loop alone keeps each row's
+trace, stall count and end; a row leaves the working set when it converges,
+stalls, fails or hits the cap, and the set is compacted only then.  Each
+row's arithmetic is the same as if it ran alone, so a trial's estimate does
+not depend on the batch it ran in, bit for bit; the single-trial functions
+are batches of one.
 
 Nothing is evaluated twice at one iterate.  The objective returns, beside
 each row's value, its evaluation (the field values g, and for the quantized
@@ -62,24 +64,19 @@ class SolverConfig:
     max_outer: outer (EM or Newton) iteration cap;
     max_inner: inner Newton cap for the EM M-step (the analog least-squares
         fit to the posterior means);
-    damping: number of step-halvings the backtracking line search may take;
-    ridge: Hessian regularization used only when factorization fails.
+    damping: number of step-halvings the backtracking line search may take.
+
+    A Newton direction needs no setting: a system that cannot be solved, or
+    whose solution does not point uphill, takes the eigenvalue-modified step.
     """
 
     tol: float = 1e-6
     max_outer: int = 200
     max_inner: int = 50
     damping: int = 20
-    ridge: float = 1e-8
 
     def __post_init__(self):
-        if not (
-            self.tol > 0
-            and self.max_outer > 0
-            and self.max_inner > 0
-            and self.damping > 0
-            and self.ridge > 0
-        ):
+        if not (self.tol > 0 and self.max_outer > 0 and self.max_inner > 0 and self.damping > 0):
             raise ValueError("all solver settings must be positive")
 
 
@@ -95,23 +92,6 @@ class EstimateResult:
     divergence_reason: str | None = None
 
 
-def _newton_direction(hess, grad, cfg):
-    """Solve hess @ p = -grad, adding a trace-scaled ridge only if the plain
-    factorization fails; None when even the ridged system is unusable."""
-    try:
-        p = np.linalg.solve(hess, -grad)
-        if np.all(np.isfinite(p)):
-            return p
-    except np.linalg.LinAlgError:
-        pass
-    lam = cfg.ridge * max(1.0, abs(float(np.trace(hess))) / hess.shape[0])
-    try:
-        p = np.linalg.solve(hess - lam * np.eye(hess.shape[0]), -grad)
-    except np.linalg.LinAlgError:
-        return None
-    return p if np.all(np.isfinite(p)) else None
-
-
 def _modified_steps(grad, hess):
     """Modified Newton steps for a stack of indefinite Hessians: the
     eigenvalue magnitudes keep the curvature scaling while guaranteeing an
@@ -125,10 +105,10 @@ def _modified_steps(grad, hess):
 
 # How a row leaves the working set of the ascent; code 0 is still working.
 _ENDS = (
-    None, None, "nonfinite_objective", "nonfinite_derivatives", "singular",
-    "line_search_failed", "stalled", "max_iterations",
+    None, None, "nonfinite_objective", "nonfinite_derivatives", "line_search_failed",
+    "stalled", "max_iterations",
 )
-_CONVERGED, _NONFINITE_F, _NONFINITE_D, _SINGULAR, _NO_ASCENT, _STALLED, _CAPPED = range(1, 8)
+_CONVERGED, _NONFINITE_F, _NONFINITE_D, _NO_ASCENT, _STALLED, _CAPPED = range(1, 7)
 # EM ends a row whose M-step took no step with _INNER + the M-step's code
 _INNER = len(_ENDS)
 _ENDS += tuple(f"inner:{end}" for end in _ENDS)
@@ -145,47 +125,42 @@ def _all(mask):
     return np.count_nonzero(mask) == mask.size
 
 
-def _ascent_steps(grad, hess, cfg):
-    """Ascent directions for a stack of Newton systems, by one stacked solve.
-    Rows whose plain solve is unusable, or every row when one matrix of the
-    stack is singular, go through ``_newton_direction`` one at a time; rows
-    whose Newton step points downhill take the modified step.  Returns
-    (steps, end codes 0 or _SINGULAR, or None when every row has a step)."""
-    end = None
+def _ascent_steps(grad, hess):
+    """Ascent directions for a stack of Newton systems, by one stacked solve
+    (row by row when one matrix of the stack is singular, so that each row's
+    arithmetic is the same as alone).  A row whose Newton step is not finite
+    or does not point uphill takes the modified step instead."""
     try:
         step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
-        finite = np.isfinite(step)
-        retry = () if _all(finite) else np.flatnonzero(~finite.all(axis=1))
     except np.linalg.LinAlgError:
         step = np.zeros_like(grad)
-        retry = range(len(grad))
-    if len(retry):
-        end = np.zeros(len(grad), dtype=int)
-        for i in retry:
-            p = _newton_direction(hess[i], grad[i], cfg)
-            end[i] = _SINGULAR if p is None else 0
-            step[i] = 0.0 if p is None else p
-    uphill = np.matmul(grad[:, None, :], step[:, :, None])[:, 0, 0] <= 0.0
-    if end is not None:
-        uphill &= end == 0
-    if _any(uphill):
-        step[uphill] = _modified_steps(grad[uphill], hess[uphill])
-    return step, end
+        for i in range(len(grad)):
+            try:
+                step[i] = np.linalg.solve(hess[i : i + 1], -grad[i : i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass  # a zero step has no uphill slope
+    finite = np.isfinite(step)
+    if not _all(finite):
+        step[~finite.all(axis=1)] = 0.0
+    bad = np.matmul(grad[:, None, :], step[:, :, None])[:, 0, 0] <= 0.0
+    if _any(bad):
+        step[bad] = _modified_steps(grad[bad], hess[bad])
+    return step
 
 
 _ALL = slice(None)
 
 
-def _backtrack(value_fn, theta, f, ev, step, data, end, cfg):
-    """Backtracking line search of the rows whose end code is 0 (every row
-    when end is None): each halves its step (up to cfg.damping times) until
-    the objective does not decrease at a valid iterate (positive spreads).
-    All rows still searching are on the same halving, and only they are
-    evaluated.  Returns (iterates, objectives, evaluations, end codes with
-    _NO_ASCENT where no such step was found, or None when every row took
-    one); rows that take no step keep theta, f and their rows of ev."""
+def _backtrack(value_fn, theta, f, ev, step, data, cfg):
+    """Backtracking line search of every row: each halves its step (up to
+    cfg.damping times) until the objective does not decrease at a valid
+    iterate (positive spreads).  All rows still searching are on the same
+    halving, and only they are evaluated.  Returns (iterates, objectives,
+    evaluations, end codes with _NO_ASCENT where no such step was found, or
+    None when every row took one); rows that take no step keep theta, f and
+    their rows of ev."""
     n = len(theta)
-    todo = _ALL if end is None else np.flatnonzero(end == 0)
+    todo = _ALL
     cand, fc, evc = theta, f, ev
     alpha = 1.0
     for _ in range(cfg.damping + 1):
@@ -215,18 +190,15 @@ def _backtrack(value_fn, theta, f, ev, step, data, end, cfg):
                 if not len(todo):
                     break
         alpha *= 0.5
-    failed = np.arange(n)[todo]
-    if len(failed):
-        end = np.zeros(n, dtype=int) if end is None else end
-        end[failed] = _NO_ASCENT
-    return cand, fc, evc, end
+    end = np.zeros(n, dtype=int)
+    end[todo] = _NO_ASCENT
+    return cand, fc, evc, end if _any(end) else None
 
 
 def _newton_step(value_fn, cfg, theta, f, ev, grad, hess, data):
     """One damped Newton iteration of the working rows: ``_ascent_steps``,
     then ``_backtrack``."""
-    step, end = _ascent_steps(grad, hess, cfg)
-    return _backtrack(value_fn, theta, f, ev, step, data, end, cfg)
+    return _backtrack(value_fn, theta, f, ev, _ascent_steps(grad, hess), data, cfg)
 
 
 def _damped_newton_ascent(

@@ -65,6 +65,15 @@ class ConfigError(ValueError):
 REFUSALS = (ConfigError, CompositionGuardError, SingularFisherError)
 
 
+# Upper limits of two sizes that no other setting bounds, checked before the
+# configuration computes anything.  The calibration's Simpson grid costs
+# O(grid^2): a quantized M = 16 calibration peaks at about 160 MB RSS at
+# grid = 1001 and 480 MB at 2001.  The outlier curve compares every
+# threshold with every trial of a cell: 10,000 thresholds over 10,000
+# trials peak at about 130 MB.
+_MAX_GRID = 2001
+_MAX_TAU_COUNT = 10_000
+
 _CHANNELS = ("analog", "quantized")
 _ESTIMATORS = ("newton", "em", "nr")
 _INIT_POLICIES = ("fixed", "region")
@@ -155,10 +164,14 @@ class ExperimentConfig:
             raise ConfigError("crlb zeta must be >= 0")
         if self.crlb_nodes < 21 or self.crlb_nodes % 2 == 0:
             raise ConfigError("crlb nodes must be odd and >= 21")
-        if not (0 < self.tau_min < self.tau_max) or self.tau_count < 2:
-            raise ConfigError("need 0 < tau_min < tau_max and tau_count >= 2")
-        if self.grid < 11 or self.grid % 2 == 0:
-            raise ConfigError("quadrature grid must be odd and >= 11")
+        if not 0 < self.tau_min < self.tau_max:
+            raise ConfigError("need 0 < report.tau_min < report.tau_max")
+        if not 2 <= self.tau_count <= _MAX_TAU_COUNT:
+            raise ConfigError(
+                f"report.tau_count must lie in 2..{_MAX_TAU_COUNT}, got {self.tau_count}"
+            )
+        if not 11 <= self.grid <= _MAX_GRID or self.grid % 2 == 0:
+            raise ConfigError(f"quadrature.grid must be odd and in 11..{_MAX_GRID}, got {self.grid}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         # a noise variance is a mean power over 10^(snr/10); on the quantized
@@ -546,16 +559,18 @@ def _sweep(cfg, estimators):
     """Per cell, yield (cell, records of each estimator, (crlb_diag,
     crlb_error)).  A cell is calibrated once and bounded once; every
     estimator runs on the same trials, in a pool of ``run.workers``
-    processes when that is above 1."""
+    processes, or of as many as the largest cell has batches if fewer, when
+    that is above 1."""
     cells, ids = resolve_cells(cfg)
+    workers = min(cfg.workers, max(len(_trial_chunks(cfg, cell.k)) for cell in cells))
     executor = None
-    if cfg.workers > 1:
+    if workers > 1:
         # the pool's modules load only here; its workers start at the first
         # batch, after the first cell's calibration, so a quantized
         # campaign's workers inherit scipy.special
         from concurrent.futures import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(max_workers=cfg.workers)
+        executor = ProcessPoolExecutor(max_workers=workers)
     try:
         for cell, data_id in zip(cells, ids):
             calib = _cell_calibration(cfg, cell)
@@ -816,7 +831,6 @@ CONFIG_SCHEMA = (
     ConfigKey("solver.max_outer", "solver", "max_outer", kind=int),
     ConfigKey("solver.max_inner", "solver", "max_inner", kind=int),
     ConfigKey("solver.damping", "solver", "damping", kind=int),
-    ConfigKey("solver.ridge", "solver", "ridge"),
     ConfigKey("trials.count", "trials", kind=int, flag="--trials N"),
     ConfigKey("trials.base_seed", "base_seed", kind=int, flag="--seed U64"),
     ConfigKey("init.policy", "init_policy", kind=str),

@@ -224,9 +224,33 @@ def test_cli_imports_no_private_experiments_names():
 
 
 def test_bad_config_key_exit_code(tmp_path, capsys):
-    cfg = _cfg_file(tmp_path, "network.kk = 6\n")
-    assert main(["campaign", "--config", cfg]) == 2
-    assert "unknown configuration keys" in capsys.readouterr().err
+    for line in ("network.kk = 6\n", "solver.ridge = 1e-8\n"):
+        cfg = _cfg_file(tmp_path, line)
+        assert main(["campaign", "--config", cfg]) == 2
+        assert "unknown configuration keys" in capsys.readouterr().err
+
+
+class _Integrated(Exception):
+    """Raised in place of the field's mean-square integral."""
+
+
+@pytest.mark.parametrize(
+    "key, limit, first_refused",
+    [("quadrature.grid", 2001, 2003), ("report.tau_count", 10_000, 10_001)],
+)
+def test_oversized_grid_exit_code(tmp_path, capsys, monkeypatch, key, limit, first_refused):
+    # the first value above each limit is refused before the configuration
+    # integrates anything; the limit itself reaches the integral
+    def integrate(*args):
+        raise _Integrated
+
+    monkeypatch.setattr(experiments, "_mean_square", integrate)
+    cfg = _cfg_file(tmp_path, f"{key} = {first_refused}\n")
+    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {key} must" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(_Integrated):
+        main(["campaign", "--config", _cfg_file(tmp_path, f"{key} = {limit}\n")])
 
 
 @pytest.mark.parametrize(

@@ -26,11 +26,14 @@ from fieldest import (
 )
 from fieldest import estimators, experiments
 from fieldest.estimators import (
+    _analog_rows,
     _ascent_steps,
     _mixture_at,
+    _modified_steps,
     _posterior_means,
     _quantized_rows,
     _wls_derivs,
+    _wls_value,
 )
 from fieldest.experiments import ExperimentConfig, resolve_cells
 
@@ -67,8 +70,6 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_outer=0)
-    with pytest.raises(ValueError):
-        SolverConfig(ridge=-1e-9)
 
 
 # ------------------------------------------------------------- analog ML
@@ -132,23 +133,30 @@ def test_batch_rows_with_a_singular_hessian_and_an_invalid_first_step_run_as_alo
         FieldParams(7.0, 0.3, 3.0, 4.0, 8.0),
         FieldParams(7.0, 2.5, 1.8, 5.0, 4.5),
     ]
+    # the batch's first Newton systems
+    theta = np.array([init.as_array() for init in inits])
+    zv, w, x, y = _analog_rows([z.z for _, z in data], [net for net, _ in data], eta2)
+    _, (g,) = _wls_value(GAUSSIAN_BELL, theta, zv, w, x, y)
+    grad, hess = _wls_derivs(GAUSSIAN_BELL, theta, g, zv, w, x, y)
     # preconditions: row 1's Hessian is exactly singular, so the stacked
-    # solve of its iteration fails as a whole; row 2's full first Newton step
-    # makes a spread non-positive
-    for row, init in ((1, inits[1]), (2, inits[2])):
-        net, z = data[row]
-        w = 1.0 / (net.sigma2 + eta2)
-        theta = init.as_array()[None]
-        g = GAUSSIAN_BELL.value(init, net.x, net.y)
-        grad, hess = _wls_derivs(
-            GAUSSIAN_BELL, theta, g[None], z.z[None], w[None], net.x[None], net.y[None]
-        )
-        if row == 1:
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.solve(hess, -grad[:, :, None])
-        else:
-            step, end = _ascent_steps(grad, hess, cfg)
-            assert end is None and min((theta + step)[0, 1:3]) <= 0.0
+    # solve fails as a whole; row 2's full first step makes a spread
+    # non-positive
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(hess[1], -grad[1])
+    steps = _ascent_steps(grad, hess)
+    assert min((theta + steps)[2, 1:3]) <= 0.0
+    # the direction rule: a row whose own solve succeeds keeps its Newton
+    # step, bit for bit, where that points uphill; every other row, and the
+    # singular one, takes the modified step of its own row
+    ok = [0, 2, 3]
+    newton = np.linalg.solve(hess[ok], -grad[ok, :, None])[:, :, 0]
+    uphill = [i for i, p in zip(ok, newton) if grad[i] @ p > 0.0]
+    assert uphill == [3]  # precondition: rows 0 and 2 start where -H is indefinite
+    for i, p in zip(ok, newton):
+        want = p if i in uphill else _modified_steps(grad[i : i + 1], hess[i : i + 1])[0]
+        np.testing.assert_array_equal(steps[i], want)
+    np.testing.assert_array_equal(steps[1], _modified_steps(grad[1:2], hess[1:2])[0])
+    assert (np.einsum("ij,ij->i", grad, steps) > 0.0).all()
     batch = newton_ml_analog_batch(
         [z for _, z in data], [net for net, _ in data], GAUSSIAN_BELL, eta2, inits, cfg
     )

@@ -2,6 +2,7 @@
 
 import json
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -655,6 +656,29 @@ def test_reports_identical_across_worker_counts(monkeypatch, tmp_path):
                 path = tmp_path / f"{estimator}_{size}_{workers}.json"
                 assert _report_bytes(report, path) == serial
         monkeypatch.undo()
+
+
+def test_the_pool_starts_no_more_processes_than_the_largest_cell_has_batches(
+    monkeypatch,
+):
+    # two one-trial batches start two processes, not six; a single batch
+    # runs in-process; both reports are the serial one
+    spawned = []
+    real = ProcessPoolExecutor._spawn_process
+
+    def counting(self):
+        spawned.append(self)
+        if len(spawned) <= 2:  # a test never starts more than two processes
+            real(self)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
+    for trials, workers, started in ((2, 6, 2), (1, 3, 0)):
+        cfg = _tiny_analog_cfg(trials=trials)
+        serial = _without_workers(run_campaign(cfg))
+        spawned.clear()
+        report = run_campaign(replace(cfg, workers=workers))
+        assert len(spawned) == started
+        assert _without_workers(report) == serial
 
 
 def test_a_batch_equals_its_rows_run_alone():
