@@ -24,11 +24,19 @@ def simpson_nodes_weights(lo, hi, n):
         raise ValueError(f"composite Simpson needs an odd node count >= 3, got {n}")
     if not hi > lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
-    x = np.linspace(lo, hi, n)
+    return _simpson_at(lo, hi, n, np.arange(n))
+
+
+def _simpson_at(lo, hi, n, i):
+    """Nodes and weights of the n-node composite Simpson rule on [lo, hi] at
+    the node indices i alone: x_i = i h + lo with the last node set to hi,
+    bit for bit what np.linspace(lo, hi, n) holds at i, so a caller can take
+    any run of nodes without building all n."""
     h = (hi - lo) / (n - 1)
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
+    x = i * h + lo
+    x[i == n - 1] = hi
+    w = np.where(i % 2 == 1, 4.0, 2.0)
+    w[(i == 0) | (i == n - 1)] = 1.0
     w *= h / 3.0
     return x, w
 

@@ -19,6 +19,12 @@ Fisher information J_k about g_k.
 
 No route needs the field Hessian: the Fisher identity's second-derivative
 term is sum_j d2p_kj, the second derivative of sum_j p_kj = 1, which is 0.
+
+Both quantized routes work in blocks of at most _BLOCK float64 elements per
+large temporary: the Simpson grid in runs of consecutive C-order points, the
+series in chunks of compositions and of lattice points.  A bound's working
+memory is then one block, whatever K, M, crlb.nodes and zeta are (the
+series' composition table aside).
 """
 
 from __future__ import annotations
@@ -29,13 +35,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _channel_variances, _p_slope, level_probabilities
-from ._quadrature import simpson_nodes_weights
+from ._quadrature import _simpson_at
 
 #: refuse series evaluations with more enumerated terms than this
 COMPOSITION_GUARD = 10**7
 
 #: refuse Simpson evaluations whose grid size nodes^alpha x (M + K) exceeds this
 SIMPSON_GUARD = 10**8
+
+#: float64 elements per large temporary of the quantized routes (1 MiB): a
+#: block's rows x K and rows x M arrays hold at most this many.  Against
+#: 2**17 on 2 CPUs, 2**16 made two Simpson bounds (K=100, M=8, 81 nodes;
+#: K=40, M=16, 21 nodes) 7% slower, and 2**18 added 4.6 MB to the peak RSS
+#: of one process running four `fieldest crlb` configurations
+_BLOCK = 2**17
 
 #: condition-number ceiling beyond which the Fisher matrix counts as singular
 CONDITION_LIMIT = 1e12
@@ -260,9 +273,10 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
 
     n_params = dp.shape[2]
     entries = np.zeros((n_params, n_params))
-    chunk = 16384
+    lam_chunk = max(1, _BLOCK // m**2)  # points per (chunk, M, M) lambda block
     for eta_val in np.unique(eta2v):
         k_idx = np.flatnonzero(eta2v == eta_val)
+        chunk = max(1, _BLOCK // max(k_idx.size, m))  # rows per (chunk, K) weight block
         weights = np.zeros((n_points, k_idx.size))
         for c0 in range(0, order.size, chunk):
             # rows grouped by point, so each point's weights add in table order
@@ -274,9 +288,9 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
         weights *= coef[:, None]
 
         phi = np.zeros((k_idx.size, m, m))
-        for c0 in range(0, n_points, chunk):
-            cvec = point_w[c0 : c0 + chunk] + 2.0
-            base_m = point_n[c0 : c0 + chunk].astype(float)
+        for c0 in range(0, n_points, lam_chunk):
+            cvec = point_w[c0 : c0 + lam_chunk] + 2.0
+            base_m = point_n[c0 : c0 + lam_chunk].astype(float)
             base_s = base_m.sum(axis=1)  # n . 1 = ell . ||b_v||^2 for 0/1 codewords
             lam = np.empty((cvec.size, m, m))
             pref = cvec ** (-bm.alpha / 2.0)
@@ -291,7 +305,7 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
                     )
                     lam[:, j, i] = val
                     lam[:, i, j] = val
-            phi += (weights[c0 : c0 + chunk].T @ lam.reshape(cvec.size, -1)).reshape(
+            phi += (weights[c0 : c0 + lam_chunk].T @ lam.reshape(cvec.size, -1)).reshape(
                 k_idx.size, m, m
             )
         # kept in theta, not lifted from J: reordering moves near-singular bounds ~1e-7
@@ -332,37 +346,74 @@ def _check_quantized_routes(methods, bm, zeta, nodes, k):
         guards[method]()
 
 
-def _grid_slabs(bm, eta2, nodes):
+def _grid_slabs(bm, eta2, nodes, rows):
     """Yield (E, W) blocks covering the alpha-dimensional Simpson grid over
     [-6 eta, 1 + 6 eta]^alpha in C order: E has rows
     exp(-||z - b_j||^2/(2 eta^2)) per grid point and codeword, W the matching
-    tensor-product weights.  A block holds whole axis-0 nodes, as many as keep
-    it within 4096 rows, or one node when that alone has more."""
+    tensor-product weights.  Each block is at most ``rows`` consecutive grid
+    points: whole axis-0 nodes when one node's inner grid fits, else a run of
+    nodes along the deepest axis a whose trailing grid (axes a+1..alpha-1)
+    fits, at one index of each axis before a.  Axis 0's nodes and weights
+    come from their indices, block by block, so a one-axis grid holds no
+    nodes-long table; and a block's entries keep the bits of the full tensor
+    product (factors multiplied from the last axis to the first)."""
     eta = np.sqrt(eta2)
-    z, w = simpson_nodes_weights(-6.0 * eta, 1.0 + 6.0 * eta, nodes)
-    table = np.stack(
-        [np.exp(-0.5 * z**2 / eta2), np.exp(-0.5 * (z - 1.0) ** 2 / eta2)], axis=1
-    )
+    lo, hi = -6.0 * eta, 1.0 + 6.0 * eta
     bits = bm.codebook.astype(int)
-    factors = [table[:, bits[:, a]] for a in range(bm.alpha)]
-    # the product over axes 1..alpha-1: a single all-ones row when alpha = 1
-    e_inner, w_inner = np.ones((1, bm.m)), np.ones(1)
-    for a in range(bm.alpha - 1, 0, -1):
-        e_inner = (factors[a][:, None, :] * e_inner[None, :, :]).reshape(-1, bm.m)
-        w_inner = (w[:, None] * w_inner[None, :]).ravel()
-    step = max(1, 4096 // w_inner.size)
-    for i0 in range(0, nodes, step):
-        e0, w0 = factors[0][i0 : i0 + step], w[i0 : i0 + step]
-        yield (e0[:, None, :] * e_inner[None]).reshape(-1, bm.m), (w0[:, None] * w_inner).ravel()
+
+    def exps(i0, i1):
+        """exp(-(z - b)^2/(2 eta^2)) for b = 0, 1 (two columns) at the nodes
+        i0..i1-1 of one axis, and the nodes' Simpson weights."""
+        z, w = _simpson_at(lo, hi, nodes, np.arange(i0, i1))
+        return np.stack([np.exp(-0.5 * z**2 / eta2), np.exp(-0.5 * (z - 1.0) ** 2 / eta2)], 1), w
+
+    # Only a one-axis grid can be millions of nodes long.  Axes 1..alpha-1
+    # exist when alpha >= 2, where the Simpson guard keeps nodes <= 4471, and
+    # share one table: computing axis 1's runs per block instead, once per
+    # axis-0 node, made the K=100, M=8, 81-node bound 18-30% slower on 2 CPUs.
+    table = exps(0, nodes) if bm.alpha > 1 else None
+
+    def factors(a, i0, i1):
+        """Axis a's e_j (one column per codeword) at nodes i0..i1-1, and the
+        nodes' Simpson weights."""
+        e, w = exps(i0, i1) if a == 0 else (table[0][i0:i1], table[1][i0:i1])
+        return e[:, bits[:, a]], w
+
+    # axis `run` is split into runs of nodes; the axes after it form the
+    # trailing grid, a single all-ones row when there are none
+    run = bm.alpha - 1
+    while run > 0 and nodes ** (bm.alpha - run) <= rows:
+        run -= 1
+    e_tail, w_tail = np.ones((1, bm.m)), np.ones(1)
+    for a in range(bm.alpha - 1, run, -1):
+        e_a, w_a = factors(a, 0, nodes)
+        e_tail = (e_a[:, None, :] * e_tail[None]).reshape(-1, bm.m)
+        w_tail = (w_a[:, None] * w_tail[None, :]).ravel()
+    step = max(1, rows // w_tail.size)
+    for lead in np.ndindex(*(nodes,) * run):
+        # the fixed node of each axis before `run`, applied last axis first
+        lead_factors = [factors(a, i, i + 1) for a, i in reversed(list(enumerate(lead)))]
+        for i0 in range(0, nodes, step):
+            e_run, w_run = factors(run, i0, min(i0 + step, nodes))
+            e_blk = (e_run[:, None, :] * e_tail[None]).reshape(-1, bm.m)
+            w_blk = (w_run[:, None] * w_tail).ravel()
+            for e_a, w_a in lead_factors:
+                e_blk *= e_a[0]
+                w_blk *= w_a[0]
+            yield e_blk, w_blk
 
 
 def _info_simpson(p, dp, bm, eta2, nodes):
     """J_k for sensors sharing one eta2 value, by tensor-grid Simpson."""
     info = np.zeros(p.shape[0])
-    for e_blk, w_blk in _grid_slabs(bm, eta2, nodes):
-        x = e_blk @ p.T
-        num = e_blk @ dp.T
-        num *= num  # in place: a slab is nodes^(alpha-1) x K
+    rows = min(nodes**bm.alpha, max(1, _BLOCK // max(p.shape[0], bm.m)))
+    # one rows x K buffer each, reused: fresh MiB arrays per block cost page
+    # faults that made a K=100, M=8, 81-node bound 40% slower on 2 CPUs
+    x_buf, num_buf = np.empty((2, rows, p.shape[0]))
+    for e_blk, w_blk in _grid_slabs(bm, eta2, nodes, rows):
+        x = np.matmul(e_blk, p.T, out=x_buf[: w_blk.size])
+        num = np.matmul(e_blk, dp.T, out=num_buf[: w_blk.size])
+        num *= num
         with np.errstate(divide="ignore", invalid="ignore"):
             num /= x
         empty = ~(x > 0)

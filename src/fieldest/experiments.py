@@ -20,6 +20,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -344,7 +346,10 @@ def outlier_probability(se_samples, tau_grid):
         raise ValueError("need at least one SE sample")
     if tau.ndim != 1 or np.any(tau <= 0) or np.any(np.diff(tau) <= 0):
         raise ValueError("tau grid must be positive and strictly increasing")
-    return (se[None, :] > tau[:, None]).mean(axis=1)
+    # one sort, not a tau x samples comparison table: searchsorted counts
+    # the samples <= tau, and a NaN sample exceeds no threshold
+    ranked = np.sort(se[~np.isnan(se)])
+    return (ranked.size - np.searchsorted(ranked, tau, side="right")) / se.size
 
 
 # ------------------------------------------------------------------- trials
@@ -555,14 +560,30 @@ def crlb_report(cfg):
     return out
 
 
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep(cfg, estimators):
     """Per cell, yield (cell, records of each estimator, (crlb_diag,
     crlb_error)).  A cell is calibrated once and bounded once; every
     estimator runs on the same trials, in a pool of ``run.workers``
-    processes, or of as many as the largest cell has batches if fewer, when
-    that is above 1."""
+    processes, or of as many as the largest cell has batches or this process
+    has CPUs if fewer, when that is above 1."""
     cells, ids = resolve_cells(cfg)
     workers = min(cfg.workers, max(len(_trial_chunks(cfg, cell.k)) for cell in cells))
+    cpus = _usable_cpus()
+    if workers > cpus:
+        # the trial chunks still follow run.workers, so the report does not change
+        print(
+            f"warning: run.workers = {cfg.workers} exceeds the {cpus} CPUs this process "
+            f"may use; the pool starts at most {cpus} processes",
+            file=sys.stderr,
+        )
+        workers = cpus
     executor = None
     if workers > 1:
         # the pool's modules load only here; its workers start at the first

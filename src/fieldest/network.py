@@ -108,9 +108,13 @@ def calibrate_eta_analog(model, params, area, sigma2, snr_c_db, grid=201):
     return _analog_eta2(_mean_square(model, params, area, grid), sigma2, snr_c_db)
 
 
-# Rows per matrix-vector product in the quantized calibration.  One product
-# over 40,401 rows of 16 levels is large enough for OpenBLAS to split across
-# threads, which made it 8 ms instead of 0.4 ms; blocks keep every row's bits.
+# Distinct field values per block of the quantized calibration: each block's
+# level probabilities and their matrix-vector product with nu^2 are made
+# together.  One product over 40,401 rows of 16 levels is large enough for
+# OpenBLAS to split across threads, which made it 8 ms instead of 0.4 ms; and
+# probabilities for every value of a 2001-node grid at once take hundreds of
+# MB.  The probabilities are elementwise, and the product sums each row alike
+# in blocks of a multiple of 4 rows, so such blocks keep every row's bits.
 _POWER_ROWS = 4096
 
 
@@ -134,10 +138,11 @@ def calibrate_eta_quantized(model, params, area, quantizer, sigma2, snr_c_db, gr
     def power(x, y):
         g = model.value(params, x, y)
         values, index = np.unique(g.ravel(), return_inverse=True)
-        p = level_probabilities(quantizer, values, np.sqrt(sigma2))
-        nu2 = quantizer.reproduction**2
-        rows = range(0, values.size, _POWER_ROWS)
-        per_value = np.concatenate([p[i : i + _POWER_ROWS] @ nu2 for i in rows])
+        sigma, nu2 = np.sqrt(sigma2), quantizer.reproduction**2
+        per_value = np.concatenate([
+            level_probabilities(quantizer, values[i : i + _POWER_ROWS], sigma) @ nu2
+            for i in range(0, values.size, _POWER_ROWS)
+        ])
         return per_value[index].reshape(g.shape)
 
     mean_power = simpson_2d(power, area.x_min, area.x_max, area.y_min, area.y_max, grid)

@@ -128,7 +128,7 @@ def grid_gamma(quantizer, bm, g, sigma, eta2, nodes=81):
     p = level_probabilities(quantizer, float(g), float(sigma))
     norm = (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0)
     gamma = np.zeros(bm.m)
-    for e_blk, w_blk in _grid_slabs(bm, eta2, nodes):
+    for e_blk, w_blk in _grid_slabs(bm, eta2, nodes, 4096):
         x = e_blk @ p
         gamma += e_blk.T @ (w_blk * np.divide(norm * x, x, out=np.zeros_like(x), where=x > 0))
     return gamma

@@ -25,7 +25,7 @@ from fieldest import (
     series_term_count,
 )
 
-from fieldest._quadrature import simpson_nodes_weights
+from fieldest._quadrature import _simpson_at, simpson_nodes_weights
 from fieldest.channel import _p_slopes
 
 from conftest import gaussian_product_integral, grid_gamma, make_network, quantized_loglik_derivs
@@ -291,7 +291,9 @@ def test_series_matches_its_sum_over_compositions(truth, area, zeta, m):
 
 def test_series_memory_stays_chunked(truth, area):
     """One K=40, M=16, zeta=6 bound sums its 74,613 composition weights in
-    bounded chunks; summing them in one block peaks above 48 MiB."""
+    chunks of at most _BLOCK elements and peaks at 8.4 MiB, most of it the
+    composition table; chunks of 16,384 rows peaked at 21 MiB, and one block
+    above 48 MiB."""
     net = make_network(40, area, 0.3937, seed=5)
     quantizer = make_uniform_quantizer(16, 0.0, 12.0)
     tracemalloc.start()
@@ -300,7 +302,7 @@ def test_series_memory_stays_chunked(truth, area):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_series_undershoots_and_improves_with_zeta(truth, area):
@@ -456,28 +458,90 @@ def test_simpson_guard_refuses_large_grids_up_front(truth, area, monkeypatch):
 
 @pytest.mark.parametrize(
     "alpha, nodes",
-    # per-node slabs of nodes^(alpha-1) rows: below 4096, and for alpha >= 3 above
+    # per-node inner grids of nodes^(alpha-1) points: below 4096, and for
+    # alpha >= 3 above
     [(1, 21), (1, 4097), (2, 21), (2, 101), (3, 21), (3, 65), (4, 7), (4, 17)],
 )
 def test_grid_slabs_cover_the_tensor_grid_in_c_order(alpha, nodes):
+    # blocks of 4096, 300 and 7 points hold whole axis-0 nodes, split one
+    # node's inner grid into runs along a deeper axis, or hold runs of fewer
+    # nodes than one axis has
     bm, eta2 = BitMapper(alpha), 0.3
     eta = math.sqrt(eta2)
-    blocks = list(crlb_mod._grid_slabs(bm, eta2, nodes))
-    per_node = nodes ** (alpha - 1)
-    for _, w_blk in blocks:  # whole axis-0 nodes, within 4096 rows unless one node has more
-        assert len(w_blk) % per_node == 0
-        assert len(w_blk) <= max(4096, per_node)
-    e_all = np.concatenate([e for e, _ in blocks])
-    w_all = np.concatenate([w for _, w in blocks])
-    assert e_all.shape == (nodes**alpha, bm.m) and w_all.shape == (nodes**alpha,)
     z, w = simpson_nodes_weights(-6.0 * eta, 1.0 + 6.0 * eta, nodes)
     e_1d = np.stack([np.exp(-0.5 * z**2 / eta2), np.exp(-0.5 * (z - 1.0) ** 2 / eta2)], axis=1)
     idx = np.indices((nodes,) * alpha).reshape(alpha, -1)  # C order: axis 0 slowest
     bits = bm.codebook.astype(int)
     e_ref = np.prod([e_1d[idx[a]][:, bits[:, a]] for a in range(alpha)], axis=0)
     w_ref = np.prod([w[idx[a]] for a in range(alpha)], axis=0)
-    np.testing.assert_allclose(e_all, e_ref, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(w_all, w_ref, rtol=1e-14, atol=0)
+    (one_block,) = crlb_mod._grid_slabs(bm, eta2, nodes, nodes**alpha)
+    per_node = nodes ** (alpha - 1)
+    for rows in (4096, 300, 7):
+        blocks = list(crlb_mod._grid_slabs(bm, eta2, nodes, rows))
+        for _, w_blk in blocks:  # at most `rows` points, whole axis-0 nodes when one fits
+            assert len(w_blk) <= rows
+            if per_node <= rows:
+                assert len(w_blk) % per_node == 0
+        # in order, the blocks are the grid's consecutive C-order points
+        e_all = np.concatenate([e for e, _ in blocks])
+        w_all = np.concatenate([w for _, w in blocks])
+        assert e_all.shape == (nodes**alpha, bm.m) and w_all.shape == (nodes**alpha,)
+        np.testing.assert_allclose(e_all, e_ref, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(w_all, w_ref, rtol=1e-14, atol=0)
+        # each point has the bits of the grid taken as one block
+        assert np.array_equal(e_all, one_block[0]) and np.array_equal(w_all, one_block[1])
+
+
+@pytest.mark.parametrize("n", [21, 81, 4097, 1_000_001])
+def test_simpson_nodes_from_their_indices_are_linspace(n):
+    """x_i = i h + lo with the last node hi is np.linspace bit for bit, and a
+    run of indices has the bits of the full table's nodes and weights."""
+    for lo, hi in ((-6.0 * math.sqrt(0.3), 1.0 + 6.0 * math.sqrt(0.3)), (0.0, 8.0)):
+        x, w = simpson_nodes_weights(lo, hi, n)
+        assert np.array_equal(x, np.linspace(lo, hi, n))
+        pattern = np.full(n, 2.0)
+        pattern[1::2], pattern[[0, -1]] = 4.0, 1.0
+        assert np.array_equal(w, pattern * ((hi - lo) / (n - 1) / 3.0))
+        run = np.arange(n // 3, n)
+        x_run, w_run = _simpson_at(lo, hi, n, run)
+        assert np.array_equal(x_run, x[run]) and np.array_equal(w_run, w[run])
+
+
+def test_simpson_bound_does_not_depend_on_the_block_size(truth, area, monkeypatch):
+    """Blocks that split axis-0 nodes' inner grids, or hold fewer points than
+    one axis has nodes, change only the order of the sums; a grid that fits
+    one block keeps every bit."""
+    net = make_network(12, area, 0.3937, seed=9)
+    for alpha, nodes, blocks in ((3, 21, (12 * 100, 12 * 5)), (2, 21, (12 * 50, 12 * 21**2))):
+        quantizer, bm = make_uniform_quantizer(2**alpha, 0.0, 12.0), BitMapper(alpha)
+        args = (net, GAUSSIAN_BELL, truth, quantizer, bm, 0.4)
+        default = fisher_quantized_simpson(*args, nodes=nodes).entries
+        for block in blocks:
+            monkeypatch.setattr(crlb_mod, "_BLOCK", block)
+            got = fisher_quantized_simpson(*args, nodes=nodes).entries
+            if block >= 12 * nodes**alpha:  # the default grid is one block too
+                assert np.array_equal(got, default)
+            else:
+                np.testing.assert_allclose(got, default, rtol=1e-13, atol=0)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "k, m, nodes, ceiling_mib",
+    # 2.5 and 3.3 MiB measured; blocks of whole axis-0 nodes peaked at 16.6
+    # and 47 MiB (a nodes-long table for the one-bit grid)
+    [(100, 8, 81, 4), (10, 2, 1_000_001, 6)],
+)
+def test_simpson_memory_is_one_block(truth, area, k, m, nodes, ceiling_mib):
+    net = make_network(k, area, 0.3937, seed=5)
+    quantizer, bm = make_uniform_quantizer(m, 0.0, 12.0), BitMapper(m.bit_length() - 1)
+    tracemalloc.start()
+    try:
+        fisher_quantized_simpson(net, GAUSSIAN_BELL, truth, quantizer, bm, 0.4, nodes=nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling_mib * 2**20
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])

@@ -1,6 +1,7 @@
 """Campaign machinery: metrics, sweep resolution, trials, aggregation, config."""
 
 import json
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -36,6 +37,7 @@ from fieldest.experiments import (
     run_trial,
     squared_error,
 )
+from fieldest import cli
 from fieldest import (
     FieldParams,
     GAUSSIAN_BELL,
@@ -150,6 +152,27 @@ def test_outlier_probability_monotone(se):
     po = outlier_probability(se, tau)
     assert np.all(po >= 0) and np.all(po <= 1)
     assert np.all(np.diff(po) <= 1e-15)
+
+
+# a few values, so that samples and thresholds tie
+_SE_VALUES = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 2.5, 1e4, float("inf"), float("nan")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_SE_VALUES | st.floats(min_value=0.0), min_size=1, max_size=60),
+    st.sets(_SE_VALUES | st.floats(min_value=1e-300), min_size=1, max_size=20),
+)
+def test_outlier_probability_is_the_comparison_table_mean(se, tau):
+    """The sorted count equals the mean of the tau x samples comparison table
+    bit for bit, with ties, inf and NaN (a NaN sample exceeds no threshold)."""
+    tau = np.sort([t for t in tau if t > 0])  # NaN and 0 leave the grid
+    if tau.size == 0:
+        return
+    se = np.asarray(se, dtype=float)
+    table = (se[None, :] > tau[:, None]).mean(axis=1)
+    got = outlier_probability(se, tau)
+    assert got.dtype == table.dtype and got.tobytes() == table.tobytes()
 
 
 def test_paired_snrs():
@@ -662,7 +685,8 @@ def test_the_pool_starts_no_more_processes_than_the_largest_cell_has_batches(
     monkeypatch,
 ):
     # two one-trial batches start two processes, not six; a single batch
-    # runs in-process; both reports are the serial one
+    # runs in-process; both reports are the serial one.  Two usable CPUs, so
+    # the CPU cap neither lowers nor depends on the expected counts
     spawned = []
     real = ProcessPoolExecutor._spawn_process
 
@@ -672,6 +696,8 @@ def test_the_pool_starts_no_more_processes_than_the_largest_cell_has_batches(
             real(self)
 
     monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for trials, workers, started in ((2, 6, 2), (1, 3, 0)):
         cfg = _tiny_analog_cfg(trials=trials)
         serial = _without_workers(run_campaign(cfg))
@@ -679,6 +705,48 @@ def test_the_pool_starts_no_more_processes_than_the_largest_cell_has_batches(
         report = run_campaign(replace(cfg, workers=workers))
         assert len(spawned) == started
         assert _without_workers(report) == serial
+
+
+def test_the_pool_starts_no_more_processes_than_this_process_has_cpus(
+    monkeypatch, tmp_path, capsys
+):
+    # run.workers = 6 with 2 usable CPUs: 8 one-trial batches run in 2
+    # processes, the report is the serial one, and one warning names both
+    spawned = []
+    real = ProcessPoolExecutor._spawn_process
+
+    def counting(self):
+        spawned.append(self)
+        if len(spawned) <= 2:  # a test never starts more than two processes
+            real(self)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "channel.kind = analog\nnetwork.k = 6\ncrlb.enabled = false\nreport.tau_count = 5\n"
+    )
+    reports = {}
+    for workers in (1, 6):
+        out = tmp_path / f"w{workers}"
+        argv = ["campaign", "--config", str(cfg), "--out", str(out), "--format", "json"]
+        assert cli.main(argv + ["--trials", "8", "--workers", str(workers)]) == 0
+        reports[workers] = _without_workers(json.loads((out / "report.json").read_text()))
+    assert 0 < len(spawned) <= 2
+    assert reports[6] == reports[1]
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "run.workers" in line]
+    assert warnings == [
+        "warning: run.workers = 6 exceeds the 2 CPUs this process may use; "
+        "the pool starts at most 2 processes"
+    ]
+    # one batch already runs in-process: the CPU cap lowers nothing, no warning
+    spawned.clear()
+    argv = ["campaign", "--config", str(cfg), "--out", str(tmp_path / "one"), "--format", "json"]
+    # exit 3: this cell's one trial does not converge, which is not under test
+    assert cli.main(argv + ["--trials", "1", "--workers", "6"]) in (0, 3)
+    assert spawned == []
+    assert "run.workers" not in capsys.readouterr().err
 
 
 def test_a_batch_equals_its_rows_run_alone():

@@ -131,8 +131,9 @@ def test_calibrate_eta_quantized_matches_dblquad(truth, area):
 @pytest.mark.parametrize("m", [2, 16])
 @pytest.mark.parametrize("centred", [True, False])
 def test_calibrate_eta_quantized_equals_the_full_grid_sum(truth, area, m, centred, monkeypatch):
-    """Evaluating the power once per distinct field value changes no bit: eta2
-    equals the Simpson sum of sum_j nu_j^2 p_j taken at every grid point."""
+    """Evaluating the power once per distinct field value, in blocks of
+    _POWER_ROWS values, changes no bit: eta2 equals the Simpson sum of
+    sum_j nu_j^2 p_j taken at every grid point."""
     params = truth if centred else FieldParams(8.0, 2.0, 1.7, 3.3, 4.6)
     quantizer = make_uniform_quantizer(m, 0.0, 12.0)
     sigma2 = calibrate_sigma(GAUSSIAN_BELL, params, area, 15.0)
@@ -153,11 +154,36 @@ def test_calibrate_eta_quantized_equals_the_full_grid_sum(truth, area, m, centre
     monkeypatch.setattr(network, "level_probabilities", counting)
     got = calibrate_eta_quantized(GAUSSIAN_BELL, params, area, quantizer, sigma2, 15.0)
     assert float(got).hex() == float(expected).hex()
-    assert len(rows) == 1
+    assert max(rows) <= network._POWER_ROWS
     if centred:  # the bell centred in the square repeats values by symmetry
-        assert rows == [7192]
+        assert sum(rows) == 7192
     else:
-        assert rows[0] < 201 * 201
+        assert sum(rows) < 201 * 201
+
+
+@pytest.mark.parametrize("m", [2, 16])
+def test_calibrate_eta_quantized_keeps_its_bits_in_smaller_blocks(truth, area, m, monkeypatch):
+    """The level probabilities are elementwise, so blocks of 7 distinct field
+    values give every bit of one call; and blocks of 8 values give every
+    eta2 bit of the 4096-value blocks.  Blocks of 7 would move eta2 by an
+    ulp at M = 16: OpenBLAS's matrix-vector product sums rows in groups of
+    4 and a block's leftover rows in another order."""
+    quantizer = make_uniform_quantizer(m, 0.0, 12.0)
+    for params in (truth, FieldParams(8.0, 2.0, 1.7, 3.3, 4.6)):
+        sigma2 = calibrate_sigma(GAUSSIAN_BELL, params, area, 15.0)
+        x, y = np.meshgrid(np.linspace(0.0, 8.0, 101), np.linspace(0.0, 8.0, 101))
+        values = np.unique(GAUSSIAN_BELL.value(params, x, y))
+        whole = level_probabilities(quantizer, values, np.sqrt(sigma2))
+        blocks = [
+            level_probabilities(quantizer, values[i : i + 7], np.sqrt(sigma2))
+            for i in range(0, values.size, 7)
+        ]
+        assert np.array_equal(np.concatenate(blocks), whole)
+        args = (GAUSSIAN_BELL, params, area, quantizer, sigma2, 15.0)
+        want = calibrate_eta_quantized(*args, grid=101)
+        monkeypatch.setattr(network, "_POWER_ROWS", 8)
+        assert float(calibrate_eta_quantized(*args, grid=101)).hex() == float(want).hex()
+        monkeypatch.undo()
 
 
 def test_calibrate_eta_quantized_many_levels_approach_analog(truth, area):
