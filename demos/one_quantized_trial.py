@@ -38,17 +38,17 @@ net = deploy_uniform(k, area, np.random.SeedSequence(61)).with_sigma2(np.full(k,
 obs = sample_observations(net, GAUSSIAN_BELL, truth, np.random.SeedSequence(62))
 z = quantize_forward(obs, quantizer, bm, eta2, np.random.SeedSequence(63))
 
-levels = quantize(quantizer, obs.r)
+levels = quantize(quantizer, obs)
 sent = bm.codebook[levels - 1]
-flipped = np.mean((z.z > 0.5) != (sent > 0.5))
+flipped = np.mean((z > 0.5) != (sent > 0.5))
 print(f"{k} sensors, M = {m} levels -> {bm.alpha} bits each, eta^2 = {eta2:.4f}")
 print(f"hard-decision bit flip rate on this draw: {flipped:.1%}\n")
 
 print("first five sensors (reading -> level -> word -> received):")
 for i in range(5):
     word = "".join(str(b) for b in sent[i].astype(int))
-    rx = " ".join(f"{v:+.2f}" for v in z.z[i])
-    print(f"  r = {obs.r[i]:6.3f}  level {levels[i]}  bits {word}  z = [{rx}]")
+    rx = " ".join(f"{v:+.2f}" for v in z[i])
+    print(f"  r = {obs[i]:6.3f}  level {levels[i]}  bits {word}  z = [{rx}]")
 
 init = FieldParams(9.0, 1.5, 1.5, 3.0, 3.0)
 result = em_estimate(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, init, SolverConfig())

@@ -3,8 +3,10 @@
 Each sensor reading R_k either goes out as-is over one AWGN channel
 (amplify-and-forward) or is quantized to one of M = 2^alpha levels whose
 index is transmitted as an alpha-bit word over parallel AWGN channels
-(quantize-and-forward).  Level indices j are 1-based throughout, matching
-cell j = [tau_j, tau_{j+1}).
+(quantize-and-forward).  Every channel of the network has the same noise
+variance eta2, one float.  Readings and received data are plain arrays:
+(K,) readings in, and z of shape (K,) or (K, alpha) out.  Level indices j
+are 1-based throughout, matching cell j = [tau_j, tau_{j+1}).
 """
 
 from __future__ import annotations
@@ -33,18 +35,20 @@ def _positive_finite(a):
     return bool(np.all((a > 0) & (a < np.inf)))
 
 
-def _channel_variances(eta2, k):
-    """eta2 as one channel variance per sensor, a (k,) view; each must be
-    finite and positive."""
-    e = np.broadcast_to(np.asarray(eta2, dtype=float), (k,))
-    if not _positive_finite(e):
-        raise ValueError("channel variances must be finite and positive")
-    return e
+def _channel_variance(eta2):
+    """The channel variance eta2, shared by every sensor, as a float; it must
+    be one finite, positive number."""
+    e = np.asarray(eta2, dtype=float)
+    if e.ndim > 0 or not _positive_finite(e):
+        raise ValueError(
+            "channel variances must be finite and positive, and one number for every sensor"
+        )
+    return float(e)
 
 
 def _as_readings(r):
-    """Accept an ObservationVector-like object (with .r) or a plain array."""
-    arr = np.asarray(getattr(r, "r", r), dtype=float)
+    """The readings r as a (K,) float array."""
+    arr = np.asarray(r, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a K-vector of readings, got shape {arr.shape}")
     return arr
@@ -105,40 +109,6 @@ class BitMapper:
         j = np.arange(self.m)[:, None]
         shifts = np.arange(self.alpha - 1, -1, -1)[None, :]
         return ((j >> shifts) & 1).astype(float)
-
-
-@dataclass(frozen=True, eq=False)
-class ObservationVector:
-    """Raw sensor readings R_k, one per sensor."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        if self.r.ndim != 1:
-            raise ValueError(f"readings must be a K-vector, got shape {self.r.shape}")
-
-    @property
-    def k(self):
-        return self.r.size
-
-
-@dataclass(frozen=True, eq=False)
-class ReceivedMatrix:
-    """What the fusion center sees: z of shape (K,) for the analog channel or
-    (K, alpha) for the quantized channel."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        object.__setattr__(self, "z", z)
-        if z.ndim not in (1, 2):
-            raise ValueError(f"received data must be (K,) or (K, alpha), got {z.shape}")
-
-    @property
-    def k(self):
-        return self.z.shape[0]
 
 
 def make_uniform_quantizer(m, lo, hi):
@@ -230,20 +200,21 @@ def bits_of_level(bm, j):
 
 
 def amplify_forward(r, eta2, seed):
-    """Analog channel: z_k = R_k + N(0, eta2_k)."""
+    """Analog channel: z_k = R_k + N(0, eta2), returned as a (K,) array."""
     readings = _as_readings(r)
-    eta2v = _channel_variances(eta2, readings.size)
+    eta = np.sqrt(_channel_variance(eta2))
     rng = np.random.default_rng(seed)
-    return ReceivedMatrix(readings + rng.standard_normal(readings.shape) * np.sqrt(eta2v))
+    return readings + rng.standard_normal(readings.shape) * eta
 
 
 def quantize_forward(r, q, bm, eta2, seed):
     """Quantized channel: quantize each reading, emit its bit word over
-    alpha parallel AWGN channels with common per-sensor variance eta2_k."""
+    alpha parallel AWGN channels of variance eta2, the same for every sensor
+    and bit; returns the received words z as a (K, alpha) array."""
     if q.m != bm.m:
         raise ValueError(f"quantizer has {q.m} levels but bit mapper expects {bm.m}")
     readings = _as_readings(r)
-    eta2v = _channel_variances(eta2, readings.size)
+    eta = np.sqrt(_channel_variance(eta2))
     words = bits_of_level(bm, quantize(q, readings))
     rng = np.random.default_rng(seed)
-    return ReceivedMatrix(words + rng.standard_normal(words.shape) * np.sqrt(eta2v)[:, None])
+    return words + rng.standard_normal(words.shape) * eta

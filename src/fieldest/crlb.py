@@ -4,7 +4,7 @@ Sensor k's word depends on theta only through its field value g_k, so on
 either channel I = sum_k J_k grad G_k grad G_k^T: one lift of each sensor's
 Fisher information J_k about g_k.
 
-* Analog: J_k = 1/(sigma2_k + eta2_k).
+* Analog: J_k = 1/(sigma2_k + eta2).
 * Quantized: J_k = dp_k^T Phi_k dp_k with dp_kj = dp_kj/dg and
   Phi_kji = (2 pi eta^2)^(-alpha/2) Int e_j(z) e_i(z) / x_k(z) dz over the
   received word, e_j(z) = exp(-||z - b_j||^2/(2 eta^2)), x_k = sum_v p_kv e_v.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _channel_variances, _p_slope, level_probabilities
+from .channel import _channel_variance, _p_slope, level_probabilities
 from ._quadrature import _simpson_at
 
 #: refuse series evaluations with more enumerated terms than this
@@ -112,25 +112,27 @@ def _fisher_from_info(info, grads, provenance):
 
 
 def fisher_analog(net, model, params, eta2):
-    """I = sum_k (sigma2_k + eta2_k)^-1 grad G_k grad G_k^T."""
+    """I = sum_k (sigma2_k + eta2)^-1 grad G_k grad G_k^T, with eta2 the
+    channel variance of every sensor, one float."""
     if net.sigma2 is None:
         raise ValueError("network has no calibrated sigma2")
-    eta2v = _channel_variances(eta2, net.k)
+    eta2 = _channel_variance(eta2)
     grads = model.gradient(params, net.x, net.y)
-    return _fisher_from_info(1.0 / (net.sigma2 + eta2v), grads, "analog")
+    return _fisher_from_info(1.0 / (net.sigma2 + eta2), grads, "analog")
 
 
 def _quantized_inputs(net, model, params, quantizer, bm, eta2):
-    """Both quantized routes' inputs: eta2 per sensor, p and dp/dg (K x M), grad G."""
+    """Both quantized routes' inputs: the channel variance eta2 as a float,
+    p and dp/dg (K x M), and grad G."""
     if quantizer.m != bm.m:
         raise ValueError("quantizer and bit mapper disagree on the level count")
     if net.sigma2 is None:
         raise ValueError("network has no calibrated sigma2")
-    eta2v = _channel_variances(eta2, net.k)
+    eta2 = _channel_variance(eta2)
     g = model.value(params, net.x, net.y)
     sigma = np.sqrt(net.sigma2)
     p, dp_dg = level_probabilities(quantizer, g, sigma), _p_slope(quantizer, g, sigma)[0]
-    return eta2v, p, dp_dg, model.gradient(params, net.x, net.y)
+    return eta2, p, dp_dg, model.gradient(params, net.x, net.y)
 
 
 # ------------------------------------------------------------------ series
@@ -176,7 +178,7 @@ def lambda_term(ell, j, i, bm, eta2):
         raise ValueError(f"ell must be {m} nonnegative integers")
     if not (1 <= j <= m and 1 <= i <= m):
         raise ValueError(f"level indices must be in 1..{m}")
-    eta2 = float(eta2)
+    eta2 = _channel_variance(eta2)
     book = bm.codebook
     bj = book[j - 1]
     bi = book[i - 1]
@@ -187,22 +189,22 @@ def lambda_term(ell, j, i, bm, eta2):
 
 
 def _composition_table(zeta, m):
-    """(C, M) integer matrix of all weak compositions with total <= zeta,
+    """(C, M) int16 matrix of all weak compositions with total <= zeta,
     stacked by total in increasing order (lexicographic within each total),
-    plus the (C,) vector of totals."""
-    dtype = np.int16 if zeta < 2**15 else np.int64
+    plus the (C,) vector of totals.  int16 holds every part and total:
+    COMPOSITION_GUARD admits no zeta above 389 at any M >= 2."""
     # the first M - 1 parts with total <= zeta, in lexicographic order: each
     # row is followed by every value its remaining total leaves for the next part
-    head = np.zeros((1, 0), dtype=dtype)
+    head = np.zeros((1, 0), dtype=np.int16)
     sums = np.zeros(1, dtype=np.int64)
     for _ in range(m - 1):
         counts = zeta + 1 - sums
         nxt = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        head = np.column_stack([np.repeat(head, counts, axis=0), nxt.astype(dtype)])
+        head = np.column_stack([np.repeat(head, counts, axis=0), nxt.astype(np.int16)])
         sums = np.repeat(sums, counts) + nxt
     # the last part is what the total leaves, so the head's order is lexicographic
-    table = np.empty((math.comb(zeta + m, m), m), dtype=dtype)
-    totals = np.empty(table.shape[0], dtype=dtype)
+    table = np.empty((math.comb(zeta + m, m), m), dtype=np.int16)
+    totals = np.empty(table.shape[0], dtype=np.int16)
     r0 = 0
     for w in range(zeta + 1):
         fits = np.flatnonzero(sums <= w)
@@ -258,7 +260,7 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
 
     m = bm.m
     zeta = _check_series_args(zeta, m)
-    eta2v, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
+    eta2, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
     dp = dp_dg[:, :, None] * grads[:, None, :]
 
     book = bm.codebook
@@ -271,45 +273,39 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
     with np.errstate(divide="ignore"):
         logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), -1e9)
 
-    n_params = dp.shape[2]
-    entries = np.zeros((n_params, n_params))
-    lam_chunk = max(1, _BLOCK // m**2)  # points per (chunk, M, M) lambda block
-    for eta_val in np.unique(eta2v):
-        k_idx = np.flatnonzero(eta2v == eta_val)
-        chunk = max(1, _BLOCK // max(k_idx.size, m))  # rows per (chunk, K) weight block
-        weights = np.zeros((n_points, k_idx.size))
-        for c0 in range(0, order.size, chunk):
-            # rows grouped by point, so each point's weights add in table order
-            rows = ell_all[order[c0 : c0 + chunk]]
-            ids = point_of[c0 : c0 + chunk]
-            log_wt = rows.astype(float) @ logp[k_idx].T - log_fact[rows].sum(axis=1)[:, None]
-            starts = np.flatnonzero(np.diff(ids, prepend=-1))
-            weights[ids[starts]] += np.add.reduceat(np.exp(log_wt), starts, axis=0)
-        weights *= coef[:, None]
+    k = p.shape[0]
+    chunk = max(1, _BLOCK // max(k, m))  # rows per (chunk, K) weight block
+    weights = np.zeros((n_points, k))
+    for c0 in range(0, order.size, chunk):
+        # rows grouped by point, so each point's weights add in table order
+        rows = ell_all[order[c0 : c0 + chunk]]
+        ids = point_of[c0 : c0 + chunk]
+        log_wt = rows.astype(float) @ logp.T - log_fact[rows].sum(axis=1)[:, None]
+        starts = np.flatnonzero(np.diff(ids, prepend=-1))
+        weights[ids[starts]] += np.add.reduceat(np.exp(log_wt), starts, axis=0)
+    weights *= coef[:, None]
 
-        phi = np.zeros((k_idx.size, m, m))
-        for c0 in range(0, n_points, lam_chunk):
-            cvec = point_w[c0 : c0 + lam_chunk] + 2.0
-            base_m = point_n[c0 : c0 + lam_chunk].astype(float)
-            base_s = base_m.sum(axis=1)  # n . 1 = ell . ||b_v||^2 for 0/1 codewords
-            lam = np.empty((cvec.size, m, m))
-            pref = cvec ** (-bm.alpha / 2.0)
-            for j in range(m):
-                mj = base_m + book[j]
-                sj = base_s + norms[j]
-                for i in range(j, m):
-                    mv = mj + book[i]
-                    val = pref * np.exp(
-                        (np.einsum("ca,ca->c", mv, mv) / cvec - sj - norms[i])
-                        / (2.0 * eta_val)
-                    )
-                    lam[:, j, i] = val
-                    lam[:, i, j] = val
-            phi += (weights[c0 : c0 + lam_chunk].T @ lam.reshape(cvec.size, -1)).reshape(
-                k_idx.size, m, m
-            )
-        # kept in theta, not lifted from J: reordering moves near-singular bounds ~1e-7
-        entries += np.einsum("kjs,kji,kit->st", dp[k_idx], phi, dp[k_idx], optimize=True)
+    phi = np.zeros((k, m, m))
+    lam_chunk = max(1, _BLOCK // m**2)  # points per (chunk, M, M) lambda block
+    for c0 in range(0, n_points, lam_chunk):
+        cvec = point_w[c0 : c0 + lam_chunk] + 2.0
+        base_m = point_n[c0 : c0 + lam_chunk].astype(float)
+        base_s = base_m.sum(axis=1)  # n . 1 = ell . ||b_v||^2 for 0/1 codewords
+        lam = np.empty((cvec.size, m, m))
+        pref = cvec ** (-bm.alpha / 2.0)
+        for j in range(m):
+            mj = base_m + book[j]
+            sj = base_s + norms[j]
+            for i in range(j, m):
+                mv = mj + book[i]
+                val = pref * np.exp(
+                    (np.einsum("ca,ca->c", mv, mv) / cvec - sj - norms[i]) / (2.0 * eta2)
+                )
+                lam[:, j, i] = val
+                lam[:, i, j] = val
+        phi += (weights[c0 : c0 + lam_chunk].T @ lam.reshape(cvec.size, -1)).reshape(k, m, m)
+    # kept in theta, not lifted from J: reordering moves near-singular bounds ~1e-7
+    entries = np.einsum("kjs,kji,kit->st", dp, phi, dp, optimize=True)
     return FisherMatrix(0.5 * (entries + entries.T), f"series(zeta={zeta})")
 
 
@@ -404,7 +400,8 @@ def _grid_slabs(bm, eta2, nodes, rows):
 
 
 def _info_simpson(p, dp, bm, eta2, nodes):
-    """J_k for sensors sharing one eta2 value, by tensor-grid Simpson."""
+    """J_k of every sensor, by tensor-grid Simpson, for the channel variance
+    eta2 (one float) that all sensors share."""
     info = np.zeros(p.shape[0])
     rows = min(nodes**bm.alpha, max(1, _BLOCK // max(p.shape[0], bm.m)))
     # one rows x K buffer each, reused: fresh MiB arrays per block cost page
@@ -431,9 +428,6 @@ def fisher_quantized_simpson(net, model, params, quantizer, bm, eta2, nodes=81):
     J_k = (2 pi eta^2)^(-alpha/2) Int (sum_j dp_kj/dg e_j(z))^2 / x_k(z) dz.
     """
     nodes = _check_simpson_args(bm, nodes, net.k)
-    eta2v, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
-    info = np.zeros(net.k)
-    for eta_val in np.unique(eta2v):
-        k_idx = np.flatnonzero(eta2v == eta_val)
-        info[k_idx] = _info_simpson(p[k_idx], dp_dg[k_idx], bm, float(eta_val), nodes)
+    eta2, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
+    info = _info_simpson(p, dp_dg, bm, eta2, nodes)
     return _fisher_from_info(info, grads, f"quadrature(nodes={nodes})")

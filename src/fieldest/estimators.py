@@ -48,7 +48,7 @@ from functools import partial
 
 import numpy as np
 
-from .channel import _channel_variances, _p_slope, _p_slopes, level_probabilities
+from .channel import _channel_variance, _p_slope, _p_slopes, level_probabilities
 from .field import FieldParams
 
 
@@ -348,9 +348,9 @@ def _wls_objective(g, target, w):
 
 def loglik_analog(z, net, model, params, eta2):
     """Analog-channel log-likelihood -1/2 sum_k w_k (z_k - G_k)^2 with
-    w_k = 1/(sigma2_k + eta2_k), additive constants dropped: the objective
+    w_k = 1/(sigma2_k + eta2), additive constants dropped: the objective
     that ``newton_ml_analog`` maximises."""
-    zv, w, x, y = _analog_rows([z.z], [net], eta2)
+    zv, w, x, y = _analog_rows([z], [net], eta2)
     return float(_wls_objective(model.value(params, x, y), zv, w)[0])
 
 
@@ -390,7 +390,7 @@ def _analog_rows(zs, nets, eta2):
     """The per-row data (z, w, x, y), each (T, K), of a batch of analog
     trials with readings zs (arrays), where w = 1/(sigma2 + eta2)."""
     zv, sigma2, x, y = _check_trials(zs, nets)
-    return zv, 1.0 / (sigma2 + _channel_variances(eta2, zv.shape[1])), x, y
+    return zv, 1.0 / (sigma2 + _channel_variance(eta2)), x, y
 
 
 def newton_ml_analog_batch(zs, nets, model, eta2, inits, cfg):
@@ -398,7 +398,7 @@ def newton_ml_analog_batch(zs, nets, model, eta2, inits, cfg):
     by one damped Newton ascent over the stack.  Returns each trial's
     EstimateResult, in trial order; each equals ``newton_ml_analog`` on that
     trial alone, bit for bit."""
-    zv, w, x, y = _analog_rows([z.z for z in zs], nets, eta2)
+    zv, w, x, y = _analog_rows(zs, nets, eta2)
     k = zv.shape[1]
     outcomes = _damped_newton_ascent(
         partial(_wls_value, model), partial(_wls_derivs, model),
@@ -417,10 +417,11 @@ def newton_ml_analog(z, net, model, eta2, init, cfg):
 # ------------------------------------------------------------ quantized MLE
 
 
-def _bit_distances(zmat, codebook, eta2v):
-    """(T, K, M) array of -||z_tk - b_j||^2 / (2 eta2_k) for words z (T, K, alpha)."""
+def _bit_distances(zmat, codebook, eta2):
+    """(T, K, M) array of -||z_tk - b_j||^2 / (2 eta2) for words z (T, K, alpha)
+    and the channel variance eta2, one float."""
     diff = zmat[..., None, :] - codebook
-    return -np.einsum("tkja,tkja->tkj", diff, diff) / (2.0 * eta2v[:, None])
+    return -np.einsum("tkja,tkja->tkj", diff, diff) / (2.0 * eta2)
 
 
 def _quantized_rows(zs, nets, quantizer, bm, eta2):
@@ -429,8 +430,8 @@ def _quantized_rows(zs, nets, quantizer, bm, eta2):
     if quantizer.m != bm.m:
         raise ValueError("quantizer and bit mapper disagree on the level count")
     zv, sigma2, x, y = _check_trials(zs, nets, (bm.alpha,))
-    eta2v = _channel_variances(eta2, zv.shape[1])
-    return (_bit_distances(zv, bm.codebook, eta2v), np.sqrt(sigma2), x, y), sigma2
+    d = _bit_distances(zv, bm.codebook, _channel_variance(eta2))
+    return (d, np.sqrt(sigma2), x, y), sigma2
 
 
 def _mixture_at(quantizer, g, d, sigma):
@@ -473,9 +474,9 @@ def _posterior_means(quantizer, g, p, amax, d, sigma):
 
 def loglik_quantized(z, net, quantizer, bm, model, params, eta2):
     """Quantized-channel log-likelihood
-    sum_k log sum_j p_kj(theta) exp(-||z_k - b_j||^2/(2 eta2_k)),
+    sum_k log sum_j p_kj(theta) exp(-||z_k - b_j||^2/(2 eta2)),
     stabilized by max-subtraction; additive constants dropped."""
-    (d, sigma, x, y), _ = _quantized_rows([z.z], [net], quantizer, bm, eta2)
+    (d, sigma, x, y), _ = _quantized_rows([z], [net], quantizer, bm, eta2)
     return float(_mixture_at(quantizer, model.value(params, x, y), d, sigma)[0][0])
 
 
@@ -500,7 +501,7 @@ def nr_estimate_quantized_batch(zs, nets, quantizer, bm, model, eta2, inits, cfg
     with the same sensor count K, as one damped Newton ascent over the stack.
     Returns each trial's EstimateResult, in trial order; each equals
     ``nr_estimate_quantized`` on that trial alone, bit for bit."""
-    data, _ = _quantized_rows([z.z for z in zs], nets, quantizer, bm, eta2)
+    data, _ = _quantized_rows(zs, nets, quantizer, bm, eta2)
     outcomes = _damped_newton_ascent(
         partial(_nr_value, quantizer, model), partial(_nr_derivs, quantizer, model),
         np.array([init.as_array() for init in inits]), data, cfg,
@@ -525,7 +526,7 @@ def em_estimate_batch(zs, nets, quantizer, bm, model, eta2, inits, cfg):
     running.  Each trace records the quantized log-likelihood, which EM does
     not decrease beyond roundoff.  Each result equals ``em_estimate`` on that
     trial alone, bit for bit."""
-    data, sigma2 = _quantized_rows([z.z for z in zs], nets, quantizer, bm, eta2)
+    data, sigma2 = _quantized_rows(zs, nets, quantizer, bm, eta2)
     w = 1.0 / sigma2
     data += (w, 1e-7 * nets[0].k * np.maximum(1.0, np.mean(w, axis=1)))
     score_tol = 1e-5 * nets[0].k

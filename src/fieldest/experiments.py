@@ -813,11 +813,6 @@ def export_trace_csv(record, path):
     return _write_csv(path, ["iteration", *PARAM_NAMES, "loglik"], rows, "trace")
 
 
-def load_report(path):
-    """Parse a JSON report back into a dictionary."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 # -------------------------------------------------------------------- config
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ObservationVector, _positive_finite, level_probabilities
+from .channel import _positive_finite, level_probabilities
 from .field import Area, field_squared_integral
 from ._quadrature import simpson_2d
 
@@ -71,13 +71,12 @@ def deploy_uniform(k, area, seed):
 
 
 def sample_observations(net, model, params, seed):
-    """One draw of the sensor readings R_k = G_k + W_k."""
+    """One draw of the sensor readings R_k = G_k + W_k, a (K,) array."""
     if net.sigma2 is None:
         raise ValueError("network has no calibrated sigma2; call with_sigma2 first")
     rng = np.random.default_rng(seed)
     g = model.value(params, net.x, net.y)
-    r = g + rng.standard_normal(net.k) * np.sqrt(net.sigma2)
-    return ObservationVector(r)
+    return g + rng.standard_normal(net.k) * np.sqrt(net.sigma2)
 
 
 def _mean_square(model, params, area, grid):

@@ -55,10 +55,10 @@ def assert_same_outcome(got, alone):
     )
 
 
-def quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2v, theta):
+def quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2, theta):
     """Gradient and Hessian at theta of the quantized log-likelihood of one
     trial's received words zmat (K, alpha), as Newton-Raphson computes them."""
-    data, _ = _quantized_rows([zmat], [net], quantizer, bm, eta2v)
+    data, _ = _quantized_rows([zmat], [net], quantizer, bm, eta2)
     theta = np.asarray(theta, dtype=float)[None]
     ev = _nr_value(quantizer, model, theta, *data)[1]
     grad, hess = _nr_derivs(quantizer, model, theta, *ev, *data)
@@ -69,7 +69,7 @@ def posterior_mean(z_k, quantizer, bm, g, sigma, eta2):
     """The E-step's posterior mean A = E[R | z_k] of one sensor's latent
     reading R ~ N(g, sigma^2), given its received word z_k, as EM computes it."""
     g, sigma = np.full((1, 1), g, dtype=float), np.full((1, 1), sigma, dtype=float)
-    d = _bit_distances(np.reshape(z_k, (1, 1, -1)).astype(float), bm.codebook, np.full(1, eta2))
+    d = _bit_distances(np.reshape(z_k, (1, 1, -1)).astype(float), bm.codebook, eta2)
     _, p, amax = _mixture_at(quantizer, g, d, sigma)
     return float(_posterior_means(quantizer, g, p, amax, d, sigma)[0, 0])
 

@@ -298,8 +298,6 @@ def test_gradients_match_finite_differences():
     eta2 = calibrate_eta_quantized(GAUSSIAN_BELL, TRUTH, AREA, q, sigma2, 15.0)
     obs = sample_observations(net, GAUSSIAN_BELL, TRUTH, np.random.SeedSequence(78))
     z = quantize_forward(obs, q, bm, eta2, np.random.SeedSequence(79))
-    zmat = np.asarray(z.z, dtype=float)
-    eta2v = np.broadcast_to(np.asarray(eta2, dtype=float), (net.k,))
 
     rng = np.random.default_rng(911)
     worst_field = 0.0
@@ -316,7 +314,7 @@ def test_gradients_match_finite_differences():
         )
         params = FieldParams.from_array(theta)
         an_field = GAUSSIAN_BELL.gradient(params, net.x, net.y)
-        an_ll, _ = quantized_loglik_derivs(zmat, net, q, bm, GAUSSIAN_BELL, eta2v, theta)
+        an_ll, _ = quantized_loglik_derivs(z, net, q, bm, GAUSSIAN_BELL, eta2, theta)
         fd_field = np.empty_like(an_field)
         fd_ll = np.empty_like(an_ll)
         for s in range(5):

@@ -121,6 +121,21 @@ def test_composition_table_is_the_enumeration_stacked_by_total(zeta, m):
     np.testing.assert_array_equal(totals, table.sum(axis=1))
 
 
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_guard_accepted_orders_fit_the_int16_composition_table(m):
+    """The largest order the series guard accepts at each M (389, 62, 19 and
+    10 for M = 2, 4, 8 and 16) bounds every part and total of the
+    composition table, which is int16.  A guard raised past int16 fails here."""
+    zeta = 0
+    while series_term_count(zeta + 1, m) < crlb_mod.COMPOSITION_GUARD:
+        zeta += 1
+    crlb_mod._check_series_args(zeta, m)
+    with pytest.raises(CompositionGuardError):
+        crlb_mod._check_series_args(zeta + 1, m)
+    assert zeta <= np.iinfo(np.int16).max
+    assert crlb_mod._composition_table(0, m)[0].dtype == np.int16
+
+
 @pytest.mark.parametrize("zeta,m", [(6, 16), (181, 2), (32, 4), (13, 8), (8, 16)])
 def test_lattice_points_decode_every_composition(zeta, m):
     """Each row's point decodes to its own (|ell|, ell B).  All but the
@@ -381,14 +396,13 @@ def test_simpson_matches_score_outer_product_mc(truth, area, quantized_15db, sig
     rng = np.random.default_rng(1234)
     g = GAUSSIAN_BELL.value(truth, net.x, net.y)
     p = level_probabilities(quantizer, g, np.sqrt(net.sigma2))
-    eta2v = np.full(net.k, eta2)
     draws = 4000
     acc = np.zeros((5, 5))
     theta = truth.as_array()
     for _ in range(draws):
         levels = np.array([rng.choice(bm.m, p=row / row.sum()) for row in p])
         z = bm.codebook[levels] + math.sqrt(eta2) * rng.standard_normal((net.k, bm.alpha))
-        score, _ = quantized_loglik_derivs(z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
+        score, _ = quantized_loglik_derivs(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, theta)
         acc += np.outer(score, score)
     mc = acc / draws
     scale = np.abs(fm.entries).max()

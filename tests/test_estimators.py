@@ -9,7 +9,6 @@ from fieldest import (
     BitMapper,
     FieldParams,
     GAUSSIAN_BELL,
-    ReceivedMatrix,
     SolverConfig,
     amplify_forward,
     em_estimate,
@@ -79,7 +78,7 @@ def test_loglik_analog_oracle(truth, area):
     net, z = _analog_data(truth, area, sigma2=0.3, eta2=0.5, k=25, seed=4)
     got = loglik_analog(z, net, GAUSSIAN_BELL, truth, 0.5)
     g = GAUSSIAN_BELL.value(truth, net.x, net.y)
-    expected = -0.5 * np.sum((z.z - g) ** 2 / (net.sigma2 + 0.5))
+    expected = -0.5 * np.sum((z - g) ** 2 / (net.sigma2 + 0.5))
     assert got == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
         loglik_analog(z, make_network(5, area, 0.3, 1), GAUSSIAN_BELL, truth, 0.5)
@@ -135,7 +134,7 @@ def test_batch_rows_with_a_singular_hessian_and_an_invalid_first_step_run_as_alo
     ]
     # the batch's first Newton systems
     theta = np.array([init.as_array() for init in inits])
-    zv, w, x, y = _analog_rows([z.z for _, z in data], [net for net, _ in data], eta2)
+    zv, w, x, y = _analog_rows([z for _, z in data], [net for net, _ in data], eta2)
     _, (g,) = _wls_value(GAUSSIAN_BELL, theta, zv, w, x, y)
     grad, hess = _wls_derivs(GAUSSIAN_BELL, theta, g, zv, w, x, y)
     # preconditions: row 1's Hessian is exactly singular, so the stacked
@@ -188,7 +187,7 @@ def test_loglik_quantized_oracle(truth, area, quantized_15db, sigma2_15db):
     total = 0.0
     for k in range(net.k):
         p = level_probabilities(quantizer, float(g[k]), float(np.sqrt(net.sigma2[k])))
-        e = np.exp(-np.sum((z.z[k] - bm.codebook) ** 2, axis=1) / (2 * eta2))
+        e = np.exp(-np.sum((z[k] - bm.codebook) ** 2, axis=1) / (2 * eta2))
         total += np.log(np.sum(p * e))
     assert got == pytest.approx(total, rel=1e-10)
 
@@ -203,7 +202,7 @@ def test_loglik_quantized_shape_checks(truth, area, quantized_15db, sigma2_15db)
         loglik_quantized(z, net, make_uniform_quantizer(4, 0, 12), bm, GAUSSIAN_BELL, truth, eta2)
     # a word one bit short of alpha
     with pytest.raises(ValueError, match=r"expected shape \(10, 3\)"):
-        loglik_quantized(ReceivedMatrix(z.z[:, :-1]), net, quantizer, bm, GAUSSIAN_BELL, truth, eta2)
+        loglik_quantized(z[:, :-1], net, quantizer, bm, GAUSSIAN_BELL, truth, eta2)
 
 
 def test_quantized_loglik_gradient_matches_finite_differences(
@@ -211,7 +210,6 @@ def test_quantized_loglik_gradient_matches_finite_differences(
 ):
     quantizer, bm, eta2 = quantized_15db
     net, z = _quantized_data(truth, area, sigma2_15db, quantizer, bm, eta2, k=12, seed=19)
-    eta2v = np.full(net.k, eta2)
     rng = np.random.default_rng(3)
     for _ in range(8):
         theta = np.array([
@@ -221,7 +219,7 @@ def test_quantized_loglik_gradient_matches_finite_differences(
             rng.uniform(2, 6),
             rng.uniform(2, 6),
         ])
-        grad, hess = quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
+        grad, hess = quantized_loglik_derivs(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, theta)
         fd = np.empty(5)
         for s in range(5):
             step = 1e-6 * max(1.0, abs(theta[s]))
@@ -244,17 +242,16 @@ def test_quantized_loglik_hessian_matches_finite_differences(
 ):
     quantizer, bm, eta2 = quantized_15db
     net, z = _quantized_data(truth, area, sigma2_15db, quantizer, bm, eta2, k=10, seed=23)
-    eta2v = np.full(net.k, eta2)
     theta = np.array([7.0, 2.2, 1.9, 4.4, 3.6])
-    _, hess = quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
+    _, hess = quantized_loglik_derivs(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, theta)
     fd = np.empty((5, 5))
     for s in range(5):
         step = 1e-6 * max(1.0, abs(theta[s]))
         up, dn = theta.copy(), theta.copy()
         up[s] += step
         dn[s] -= step
-        gu, _ = quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, up)
-        gd, _ = quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, dn)
+        gu, _ = quantized_loglik_derivs(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, up)
+        gd, _ = quantized_loglik_derivs(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, dn)
         fd[s] = (gu - gd) / (2 * step)
     scale = max(np.abs(fd).max(), 1e-8)
     assert np.max(np.abs(hess - fd)) / scale < 5e-6
@@ -305,8 +302,7 @@ def test_em_score_equals_incomplete_data_score(truth, area, quantized_15db, sigm
     of the received log-likelihood at the same theta."""
     quantizer, bm, eta2 = quantized_15db
     net, z = _quantized_data(truth, area, sigma2_15db, quantizer, bm, eta2, k=20, seed=41)
-    eta2v = np.full(net.k, eta2)
-    (d, sigma, _, _), _ = _quantized_rows([z.z], [net], quantizer, bm, eta2v)
+    (d, sigma, _, _), _ = _quantized_rows([z], [net], quantizer, bm, eta2)
     for theta in (
         truth.as_array(),
         np.array([9.0, 1.5, 1.5, 3.0, 3.0]),
@@ -317,7 +313,7 @@ def test_em_score_equals_incomplete_data_score(truth, area, quantized_15db, sigm
         a_val = _posterior_means(quantizer, g[None], p, amax, d, sigma)[0]
         grads = GAUSSIAN_BELL.gradient(FieldParams.from_array(theta), net.x, net.y)
         em_grad = ((a_val - g) / net.sigma2) @ grads
-        ml_grad, _ = quantized_loglik_derivs(z.z, net, quantizer, bm, GAUSSIAN_BELL, eta2v, theta)
+        ml_grad, _ = quantized_loglik_derivs(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, theta)
         np.testing.assert_allclose(em_grad, ml_grad, rtol=1e-8, atol=1e-10)
 
 
@@ -375,11 +371,11 @@ def test_quiet_channel_reduces_to_quantized_ml(truth, area, sigma2_15db):
     bm = BitMapper(3)
     eta2 = 1e-4
     net, z = _quantized_data(truth, area, sigma2_15db, quantizer, bm, eta2, k=30, seed=71)
-    levels = 1 + (np.round(z.z) @ np.array([4, 2, 1])).astype(int)
+    levels = 1 + (np.round(z) @ np.array([4, 2, 1])).astype(int)
     g = GAUSSIAN_BELL.value(truth, net.x, net.y)
     p = level_probabilities(quantizer, g, np.sqrt(net.sigma2))
     words = bm.codebook[levels - 1]
-    resid = float(np.sum((z.z - words) ** 2)) / (2.0 * eta2)
+    resid = float(np.sum((z - words) ** 2)) / (2.0 * eta2)
     expected = float(np.sum(np.log(p[np.arange(net.k), levels - 1]))) - resid
     got = loglik_quantized(z, net, quantizer, bm, GAUSSIAN_BELL, truth, eta2)
     # the word residual term survives, but every cross-level term in the

@@ -28,7 +28,6 @@ from fieldest.experiments import (
     export_trace_csv,
     initial_region_sample,
     load_config,
-    load_report,
     outlier_probability,
     paired_snrs,
     parse_config_text,
@@ -426,7 +425,7 @@ def test_export_report_roundtrip_and_csv(tmp_path):
     cfg = _tiny_analog_cfg()
     rep = run_campaign(cfg)
     jpath = export_report(rep, tmp_path / "report.json", fmt="json")
-    assert load_report(jpath) == rep
+    assert json.loads(jpath.read_text(encoding="utf-8")) == rep
     cpath = export_report(rep, tmp_path / "cells.csv", fmt="csv")
     lines = cpath.read_text().splitlines()
     assert lines[0] == "k,channel,m,snr_o_db,snr_c_db,estimator,region,statistic,value"

@@ -52,8 +52,8 @@ def test_network_sigma2_rules(area):
 def test_sample_observations(truth, area):
     net = deploy_uniform(20_000, area, np.random.SeedSequence(8)).with_sigma2(0.09)
     obs = sample_observations(net, GAUSSIAN_BELL, truth, np.random.SeedSequence(9))
-    assert obs.k == net.k
-    resid = obs.r - GAUSSIAN_BELL.value(truth, net.x, net.y)
+    assert obs.shape == (net.k,)
+    resid = obs - GAUSSIAN_BELL.value(truth, net.x, net.y)
     assert resid.mean() == pytest.approx(0.0, abs=0.01)
     assert resid.var() == pytest.approx(0.09, rel=0.05)
     bare = deploy_uniform(5, area, np.random.SeedSequence(8))
