@@ -39,8 +39,8 @@ def main():
     reference = fisher_quantized_simpson(
         net, GAUSSIAN_BELL, truth, quantizer, bm, eta2, nodes=81
     )
-    ref_trace = float(np.trace(reference.entries))
-    print(f"K = {k}, M = {m}: Simpson reference ({reference.provenance}), "
+    ref_trace = float(np.trace(reference))
+    print(f"K = {k}, M = {m}: Simpson reference (quadrature(nodes=81)), "
           f"trace = {ref_trace:.6f}\n")
 
     print(f"{'zeta':>4}  {'terms':>7}  {'trace':>12}  {'rel gap':>9}")
@@ -48,7 +48,7 @@ def main():
         fisher = fisher_quantized_series(
             net, GAUSSIAN_BELL, truth, quantizer, bm, eta2, zeta=zeta
         )
-        trace = float(np.trace(fisher.entries))
+        trace = float(np.trace(fisher))
         gap = abs(trace - ref_trace) / ref_trace
         print(f"{zeta:>4}  {series_term_count(zeta, m):>7}  {trace:12.6f}  {gap:9.2%}")
 
@@ -65,7 +65,7 @@ def main():
     fisher2 = fisher_quantized_simpson(
         net2, GAUSSIAN_BELL, truth, quantizer2, bm2, eta2b, nodes=81
     )
-    print(f"\nCRLB diagonal at K = {k2}, M = {m2} ({fisher2.provenance}):")
+    print(f"\nCRLB diagonal at K = {k2}, M = {m2} (quadrature(nodes=81)):")
     for name, v in zip(("h", "rho_x", "rho_y", "x_c", "y_c"), crlb_from_fisher(fisher2)):
         print(f"  var({name})  >=  {v:.6f}")
 

@@ -5,8 +5,8 @@ Each sensor reading R_k either goes out as-is over one AWGN channel
 index is transmitted as an alpha-bit word over parallel AWGN channels
 (quantize-and-forward).  Every channel of the network has the same noise
 variance eta2, one float.  Readings and received data are plain arrays:
-(K,) readings in, and z of shape (K,) or (K, alpha) out.  Level indices j
-are 1-based throughout, matching cell j = [tau_j, tau_{j+1}).
+(K,) finite readings in, and z of shape (K,) or (K, alpha) out.  Level
+indices j are 1-based throughout, matching cell j = [tau_j, tau_{j+1}).
 """
 
 from __future__ import annotations
@@ -47,10 +47,12 @@ def _channel_variance(eta2):
 
 
 def _as_readings(r):
-    """The readings r as a (K,) float array."""
+    """The readings r as a (K,) float array of finite values."""
     arr = np.asarray(r, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a K-vector of readings, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("readings must be finite")
     return arr
 
 

@@ -129,12 +129,11 @@ def _cmd_campaign(cfg, args):
 
 
 def _cmd_crlb(cfg, args):
-    text = json.dumps(crlb_report(cfg), indent=2)
-    print(text)
+    report = crlb_report(cfg)
+    print(json.dumps(report, indent=2))
     out = _out_dir(args)
     if out is not None:
-        (out / "crlb.json").write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {out / 'crlb.json'}")
+        print(f"wrote {export_report(report, out / 'crlb.json')}")
     return 0
 
 

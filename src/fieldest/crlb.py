@@ -17,6 +17,7 @@ Fisher information J_k about g_k.
   axis, the accuracy oracle, integrates
   J_k = (2 pi eta^2)^(-alpha/2) Int (sum_j dp_kj e_j)^2 / x_k dz directly.
 
+Each route returns I as a symmetrized (L, L) float array.
 No route needs the field Hessian: the Fisher identity's second-derivative
 term is sum_j d2p_kj, the second derivative of sum_j p_kj = 1, which is 0.
 
@@ -30,7 +31,6 @@ series' composition table aside).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,30 +66,19 @@ class CompositionGuardError(ValueError):
     """A series term count or a Simpson grid beyond its guard: intractable."""
 
 
-@dataclass(frozen=True, eq=False)
-class FisherMatrix:
-    """L x L Fisher information with a tag recording how it was computed."""
-
-    entries: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"Fisher matrix must be square, got shape {arr.shape}")
-        scale = np.max(np.abs(arr))
-        if scale > 0 and np.max(np.abs(arr - arr.T)) > 1e-10 * scale:
-            raise ValueError("Fisher matrix entries must be symmetric")
-
-
 def crlb_from_fisher(fisher):
     """Diagonal of I^-1 through a symmetric eigendecomposition.
 
-    Raises SingularFisherError when the matrix is not positive definite or
-    its condition number reaches CONDITION_LIMIT.
+    Raises ValueError unless the array is 2-D, square, finite and symmetric
+    to 1e-10 of its largest entry, and SingularFisherError when it is not
+    positive definite or its condition number reaches CONDITION_LIMIT.
     """
-    entries = fisher.entries if isinstance(fisher, FisherMatrix) else np.asarray(fisher, float)
+    entries = np.asarray(fisher, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"Fisher matrix must be square, got shape {entries.shape}")
+    scale = np.max(np.abs(entries))
+    if not np.isfinite(scale) or np.max(np.abs(entries - entries.T)) > 1e-10 * scale:
+        raise ValueError("Fisher matrix entries must be finite and symmetric")
     vals, vecs = np.linalg.eigh(entries)
     if vals[-1] <= 0:
         raise SingularFisherError("Fisher matrix is not positive definite", np.inf)
@@ -102,10 +91,10 @@ def crlb_from_fisher(fisher):
     return (vecs**2) @ (1.0 / vals)
 
 
-def _fisher_from_info(info, grads, provenance):
-    """The lift I = sum_k J_k grad G_k grad G_k^T of J_k, information about g_k."""
+def _fisher_from_info(info, grads):
+    """The symmetrized lift I = sum_k J_k grad G_k grad G_k^T of J_k, about g_k."""
     entries = np.einsum("k,ks,kt->st", info, grads, grads)
-    return FisherMatrix(0.5 * (entries + entries.T), provenance)
+    return 0.5 * (entries + entries.T)
 
 
 # ------------------------------------------------------------------ analog
@@ -118,7 +107,7 @@ def fisher_analog(net, model, params, eta2):
         raise ValueError("network has no calibrated sigma2")
     eta2 = _channel_variance(eta2)
     grads = model.gradient(params, net.x, net.y)
-    return _fisher_from_info(1.0 / (net.sigma2 + eta2), grads, "analog")
+    return _fisher_from_info(1.0 / (net.sigma2 + eta2), grads)
 
 
 def _quantized_inputs(net, model, params, quantizer, bm, eta2):
@@ -306,7 +295,7 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
         phi += (weights[c0 : c0 + lam_chunk].T @ lam.reshape(cvec.size, -1)).reshape(k, m, m)
     # kept in theta, not lifted from J: reordering moves near-singular bounds ~1e-7
     entries = np.einsum("kjs,kji,kit->st", dp, phi, dp, optimize=True)
-    return FisherMatrix(0.5 * (entries + entries.T), f"series(zeta={zeta})")
+    return 0.5 * (entries + entries.T)
 
 
 # ---------------------------------------------------------------- Simpson
@@ -430,4 +419,4 @@ def fisher_quantized_simpson(net, model, params, quantizer, bm, eta2, nodes=81):
     nodes = _check_simpson_args(bm, nodes, net.k)
     eta2, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
     info = _info_simpson(p, dp_dg, bm, eta2, nodes)
-    return _fisher_from_info(info, grads, f"quadrature(nodes={nodes})")
+    return _fisher_from_info(info, grads)

@@ -285,12 +285,8 @@ def resolve_cells(cfg):
 
 
 def squared_error(theta_hat, theta_true):
-    """SE = sum_i (theta_hat_i - theta_i)^2."""
-    a = theta_hat.as_array() if hasattr(theta_hat, "as_array") else np.asarray(theta_hat, float)
-    b = theta_true.as_array() if hasattr(theta_true, "as_array") else np.asarray(theta_true, float)
-    if a.shape != b.shape:
-        raise ValueError("parameter vectors must have matching shapes")
-    return float(np.sum((a - b) ** 2))
+    """SE = sum_i (theta_hat_i - theta_i)^2 of two FieldParams."""
+    return float(np.sum((theta_hat.as_array() - theta_true.as_array()) ** 2))
 
 
 def initial_region_sample(region, truth, seed):
@@ -511,24 +507,28 @@ def _cell_trials(cfg, cell, data_cell_id, calib, executor):
 
 
 def _cell_bounds(cfg, cell, data_cell_id, calib, methods):
-    """CRLB diagonals keyed by provenance, on the trial-0 network so the bound
-    refers to the geometry the first trial saw.  The analog channel has one
-    closed form; a quantized cell gets one route per entry of ``methods``.
-    Refusals raise, every route's guard before any route computes."""
+    """CRLB diagonals keyed by route and its setting, on the trial-0 network
+    so the bound refers to the geometry the first trial saw.  The analog
+    channel has one closed form; a quantized cell gets one route per entry of
+    ``methods``.  Refusals raise, every route's guard before any route computes."""
     sigma2, eta2 = calib
     net = _deploy(cfg, cell, data_cell_id, 0, sigma2)
     if cfg.channel == "analog":
-        fishers = [fisher_analog(net, GAUSSIAN_BELL, cfg.truth, eta2)]
+        fishers = {"analog": fisher_analog(net, GAUSSIAN_BELL, cfg.truth, eta2)}
     else:
         quantizer, bm = _quantizer(cfg, cell)
         _check_quantized_routes(methods, bm, cfg.crlb_zeta, cfg.crlb_nodes, net.k)
         args = (net, GAUSSIAN_BELL, cfg.truth, quantizer, bm, eta2)
+        keys = {
+            "series": f"series(zeta={cfg.crlb_zeta})",
+            "simpson": f"quadrature(nodes={cfg.crlb_nodes})",
+        }
         routes = {
             "series": lambda: fisher_quantized_series(*args, zeta=cfg.crlb_zeta),
             "simpson": lambda: fisher_quantized_simpson(*args, nodes=cfg.crlb_nodes),
         }
-        fishers = [routes[method]() for method in methods]
-    return {f.provenance: [float(v) for v in crlb_from_fisher(f)] for f in fishers}
+        fishers = {keys[method]: routes[method]() for method in methods}
+    return {key: [float(v) for v in crlb_from_fisher(f)] for key, f in fishers.items()}
 
 
 def _cell_crlb(cfg, cell, data_cell_id, calib):

@@ -184,13 +184,13 @@ def test_series_bound_tracks_quadrature(tmp_path):
     q = make_uniform_quantizer(2, 0.0, 12.0)
     bm = BitMapper(1)
     eta2 = calibrate_eta_quantized(GAUSSIAN_BELL, TRUTH, AREA, q, sigma2, 15.0)
-    ref = fisher_quantized_simpson(net, GAUSSIAN_BELL, TRUTH, q, bm, eta2, nodes=81).entries
+    ref = fisher_quantized_simpson(net, GAUSSIAN_BELL, TRUTH, q, bm, eta2, nodes=81)
     scale = float(np.max(np.abs(ref)))
     floor = 1e-12 * scale
     curve = []
     prev = None
     for zeta in range(0, 11):
-        ent = fisher_quantized_series(net, GAUSSIAN_BELL, TRUTH, q, bm, eta2, zeta=zeta).entries
+        ent = fisher_quantized_series(net, GAUSSIAN_BELL, TRUTH, q, bm, eta2, zeta=zeta)
         dev = float(np.max(np.abs(ent - ref) / np.maximum(np.abs(ref), floor)))
         step = np.nan if prev is None else float(np.max(np.abs(ent - prev)) / scale)
         curve.append((zeta, dev, step))
@@ -237,8 +237,8 @@ def test_large_alphabet_series_completes_or_refuses():
     eta2 = calibrate_eta_quantized(GAUSSIAN_BELL, TRUTH, AREA, q, sigma2, 15.0)
     try:
         fm = fisher_quantized_series(net, GAUSSIAN_BELL, TRUTH, q, bm, eta2, zeta=10)
-        outcome = f"completed with a finite {fm.entries.shape} matrix"
-        finished = bool(np.all(np.isfinite(fm.entries)))
+        outcome = f"completed with a finite {fm.shape} matrix"
+        finished = bool(np.all(np.isfinite(fm)))
     except CompositionGuardError as exc:
         outcome = f"cleanly refused ({exc})"
         finished = True
@@ -260,7 +260,7 @@ def test_analog_fisher_matches_monte_carlo_curvature():
     t0 = time.perf_counter()
     net, sigma2 = _fixed_net(10)
     eta2 = calibrate_eta_analog(GAUSSIAN_BELL, TRUTH, AREA, sigma2, 15.0)
-    fisher = fisher_analog(net, GAUSSIAN_BELL, TRUTH, eta2).entries
+    fisher = fisher_analog(net, GAUSSIAN_BELL, TRUTH, eta2)
     grads = GAUSSIAN_BELL.gradient(TRUTH, net.x, net.y)
     hesses = GAUSSIAN_BELL.hessian(TRUTH, net.x, net.y)
     v = net.sigma2 + eta2

@@ -261,6 +261,19 @@ def test_quantize_forward_level_mismatch():
         quantize_forward(np.zeros(3), q, BitMapper(3), 0.5, np.random.SeedSequence(0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("channel", ["analog", "quantized"])
+def test_forward_channels_refuse_non_finite_readings(channel, bad):
+    # unrefused, a NaN reading would go out as the top level's word
+    q, bm = make_uniform_quantizer(4, 0.0, 12.0), BitMapper(2)
+    send = {
+        "analog": lambda r: amplify_forward(r, 1e-12, 0),
+        "quantized": lambda r: quantize_forward(r, q, bm, 1e-12, 0),
+    }[channel]
+    with pytest.raises(ValueError, match="readings must be finite"):
+        send(np.array([bad, 1.0]))
+
+
 @pytest.fixture(scope="module")
 def one_trial(truth, area):
     """A six-sensor network at the default truth with one analog and one

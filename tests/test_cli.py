@@ -356,12 +356,13 @@ def test_out_collision_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unwritable_artifact_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command, artifact", [("campaign", "cells.csv"), ("crlb", "crlb.json")])
+def test_unwritable_artifact_exit_code(tmp_path, capsys, command, artifact):
     cfg = _cfg_file(tmp_path, ANALOG_CFG)
     out = tmp_path / "out"
-    (out / "cells.csv").mkdir(parents=True)
-    assert main(["campaign", "--config", cfg, "--out", str(out)]) == 4
-    assert f"error: cannot write report to {out / 'cells.csv'}: " in capsys.readouterr().err
+    (out / artifact).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert f"error: cannot write report to {out / artifact}: " in capsys.readouterr().err
 
 
 def test_compare_writes_report(tmp_path, capsys):

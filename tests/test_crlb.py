@@ -11,7 +11,6 @@ import fieldest.crlb as crlb_mod
 from fieldest import (
     BitMapper,
     CompositionGuardError,
-    FisherMatrix,
     GAUSSIAN_BELL,
     GaussianBellModel,
     SingularFisherError,
@@ -31,18 +30,24 @@ from fieldest.channel import _p_slopes
 from conftest import gaussian_product_integral, grid_gamma, make_network, quantized_loglik_derivs
 
 
-# ------------------------------------------------------------ FisherMatrix
+# ------------------------------------------------------- crlb_from_fisher
 
 
 def test_fisher_matrix_validates_symmetry():
-    with pytest.raises(ValueError):
-        FisherMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), "test")
-    np.testing.assert_allclose(crlb_from_fisher(FisherMatrix(np.eye(3) * 2.0, "test")), 0.5)
+    # eigh reads one triangle: an unchecked [[2, 5], [0, 3]] inverts as diag(2, 3)
+    with pytest.raises(ValueError, match="symmetric"):
+        crlb_from_fisher(np.array([[2.0, 5.0], [0.0, 3.0]]))
+    with pytest.raises(ValueError, match="square"):
+        crlb_from_fisher(np.ones((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            crlb_from_fisher(np.diag([1.0, bad, 1.0]))
+    np.testing.assert_allclose(crlb_from_fisher(np.eye(3) * 2.0), 0.5)
 
 
 def test_crlb_from_fisher_identity_and_singular():
-    np.testing.assert_allclose(crlb_from_fisher(FisherMatrix(np.eye(4), "t")), np.ones(4))
-    singular = FisherMatrix(np.diag([1.0, 1e-15, 1.0]), "t")
+    np.testing.assert_allclose(crlb_from_fisher(np.eye(4)), np.ones(4))
+    singular = np.diag([1.0, 1e-15, 1.0])
     with pytest.raises(SingularFisherError) as exc:
         crlb_from_fisher(singular)
     assert exc.value.condition > 1e12
@@ -52,7 +57,7 @@ def test_fisher_analog_single_sensor_closed_form(truth, area):
     net = make_network(1, area, 0.3, seed=2)
     grad = GAUSSIAN_BELL.gradient(truth, net.x, net.y)[0]
     fm = fisher_analog(net, GAUSSIAN_BELL, truth, 0.5)
-    np.testing.assert_allclose(fm.entries, np.outer(grad, grad) / 0.8, rtol=1e-12)
+    np.testing.assert_allclose(fm, np.outer(grad, grad) / 0.8, rtol=1e-12)
 
 
 def test_fisher_analog_mc_agreement(truth, area):
@@ -71,8 +76,8 @@ def test_fisher_analog_mc_agreement(truth, area):
     mc = np.einsum("k,ks,kt->st", 1.0 / s2, grads, grads) - np.einsum(
         "k,kst->st", mean_resid / s2, hesses
     )
-    scale = np.abs(fm.entries).max()
-    assert np.abs(fm.entries - mc).max() / scale < 0.05
+    scale = np.abs(fm).max()
+    assert np.abs(fm - mc).max() / scale < 0.05
 
 
 # ------------------------------------------------------------ compositions
@@ -276,7 +281,7 @@ def test_series_equals_truncated_integrand(truth, area):
         got = fisher_quantized_series(net, GAUSSIAN_BELL, truth, quantizer, bm, eta2, zeta)
         ref = _fisher_truncated_integrand_oracle(net, quantizer, bm, eta2, zeta, truth)
         scale = max(np.abs(ref).max(), 1e-12)
-        assert np.abs(got.entries - ref).max() / scale < 1e-7
+        assert np.abs(got - ref).max() / scale < 1e-7
 
 
 @pytest.mark.parametrize("zeta,m", [(4, 2), (3, 4), (2, 8), (2, 16)])
@@ -301,7 +306,7 @@ def test_series_matches_its_sum_over_compositions(truth, area, zeta, m):
     entries = np.zeros((5, 5))
     for k in range(net.k):
         entries += dp[k].T @ phi[k] @ dp[k]
-    np.testing.assert_allclose(got.entries, entries, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got, entries, rtol=1e-12, atol=0)
 
 
 def test_series_memory_stays_chunked(truth, area):
@@ -331,9 +336,9 @@ def test_series_undershoots_and_improves_with_zeta(truth, area):
     prev_err = None
     for zeta in (0, 2, 4, 8, 16):
         approx = fisher_quantized_series(net, GAUSSIAN_BELL, truth, quantizer, bm, eta2, zeta)
-        gap = exact.entries - approx.entries
+        gap = exact - approx
         # residual is PSD up to quadrature noise
-        assert np.linalg.eigvalsh(0.5 * (gap + gap.T)).min() > -1e-6 * np.abs(exact.entries).max()
+        assert np.linalg.eigvalsh(0.5 * (gap + gap.T)).min() > -1e-6 * np.abs(exact).max()
         err = np.abs(gap).max()
         if prev_err is not None:
             assert err < prev_err
@@ -352,7 +357,7 @@ def test_series_zeta_zero_drops_every_phi_cross_term(truth, area):
     entries = np.zeros((5, 5))
     for k in range(net.k):
         entries += dp[k].T @ lam @ dp[k]
-    np.testing.assert_allclose(got.entries, entries, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(got, entries, rtol=1e-10, atol=1e-12)
 
 
 def test_series_guard_refuses_infeasible_orders(truth, area):
@@ -382,8 +387,8 @@ def test_simpson_self_convergence(truth, area):
     bm = BitMapper(2)
     coarse = fisher_quantized_simpson(net, GAUSSIAN_BELL, truth, quantizer, bm, 0.45, nodes=81)
     fine = fisher_quantized_simpson(net, GAUSSIAN_BELL, truth, quantizer, bm, 0.45, nodes=161)
-    scale = np.abs(fine.entries).max()
-    assert np.abs(coarse.entries - fine.entries).max() / scale < 1e-7
+    scale = np.abs(fine).max()
+    assert np.abs(coarse - fine).max() / scale < 1e-7
 
 
 def test_simpson_matches_score_outer_product_mc(truth, area, quantized_15db, sigma2_15db):
@@ -405,9 +410,9 @@ def test_simpson_matches_score_outer_product_mc(truth, area, quantized_15db, sig
         score, _ = quantized_loglik_derivs(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, theta)
         acc += np.outer(score, score)
     mc = acc / draws
-    scale = np.abs(fm.entries).max()
+    scale = np.abs(fm).max()
     # 4000 draws: agreement to a few percent is all this spot check claims
-    assert np.abs(fm.entries - mc).max() / scale < 0.08
+    assert np.abs(fm - mc).max() / scale < 0.08
 
 
 def test_quantized_routes_ignore_second_derivatives(truth, area):
@@ -427,8 +432,8 @@ def test_quantized_routes_ignore_second_derivatives(truth, area):
     def bounds(model):
         args = (net, model, truth, quantizer, bm, 0.45)
         return (
-            fisher_quantized_series(*args, 3).entries,
-            fisher_quantized_simpson(*args, nodes=21).entries,
+            fisher_quantized_series(*args, 3),
+            fisher_quantized_simpson(*args, nodes=21),
         )
 
     for got, ref in zip(bounds(NoHessian()), bounds(GAUSSIAN_BELL)):
@@ -529,10 +534,10 @@ def test_simpson_bound_does_not_depend_on_the_block_size(truth, area, monkeypatc
     for alpha, nodes, blocks in ((3, 21, (12 * 100, 12 * 5)), (2, 21, (12 * 50, 12 * 21**2))):
         quantizer, bm = make_uniform_quantizer(2**alpha, 0.0, 12.0), BitMapper(alpha)
         args = (net, GAUSSIAN_BELL, truth, quantizer, bm, 0.4)
-        default = fisher_quantized_simpson(*args, nodes=nodes).entries
+        default = fisher_quantized_simpson(*args, nodes=nodes)
         for block in blocks:
             monkeypatch.setattr(crlb_mod, "_BLOCK", block)
-            got = fisher_quantized_simpson(*args, nodes=nodes).entries
+            got = fisher_quantized_simpson(*args, nodes=nodes)
             if block >= 12 * nodes**alpha:  # the default grid is one block too
                 assert np.array_equal(got, default)
             else:
@@ -572,12 +577,12 @@ def test_quantized_information_never_exceeds_the_reading(truth, area, alpha):
         scale = np.abs(ceiling).max()
         for eta2 in (0.05, 0.5):
             args = (net, GAUSSIAN_BELL, truth, quantizer, bm, eta2)
-            for fisher in (
-                fisher_quantized_simpson(*args, nodes=21 if alpha == 3 else 81),
-                fisher_quantized_series(*args, 4),
+            for route, fisher in (
+                ("simpson", fisher_quantized_simpson(*args, nodes=21 if alpha == 3 else 81)),
+                ("series", fisher_quantized_series(*args, 4)),
             ):
-                gap = ceiling - fisher.entries
-                assert np.linalg.eigvalsh(gap).min() >= -1e-10 * scale, fisher.provenance
+                gap = ceiling - fisher
+                assert np.linalg.eigvalsh(gap).min() >= -1e-10 * scale, (route, seed, eta2)
 
 
 def test_simpson_single_sensor_is_a_rank_one_lift(truth, area):
@@ -587,9 +592,7 @@ def test_simpson_single_sensor_is_a_rank_one_lift(truth, area):
     for seed in (1, 2, 3):
         net = make_network(1, area, 0.3937, seed=seed)
         grad = GAUSSIAN_BELL.gradient(truth, net.x, net.y)[0]
-        entries = fisher_quantized_simpson(
-            net, GAUSSIAN_BELL, truth, quantizer, BitMapper(2), 0.3
-        ).entries
+        entries = fisher_quantized_simpson(net, GAUSSIAN_BELL, truth, quantizer, BitMapper(2), 0.3)
         info = float(grad @ entries @ grad) / float(grad @ grad) ** 2
         assert 0.0 <= info <= 1.0 / 0.3937
         np.testing.assert_allclose(

@@ -59,9 +59,7 @@ def test_squared_error_basic():
     a = FieldParams(8.0, 2.0, 2.0, 4.0, 4.0)
     b = FieldParams(7.0, 2.0, 2.5, 4.0, 2.0)
     assert squared_error(a, b) == pytest.approx(1.0 + 0.25 + 4.0)
-    assert squared_error(a.as_array(), a) == 0.0
-    with pytest.raises(ValueError):
-        squared_error(np.zeros(4), a)
+    assert squared_error(a, a) == 0.0
 
 
 def test_initial_region_sample_bands():
