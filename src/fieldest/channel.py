@@ -19,6 +19,11 @@ import numpy as np
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+#: condition-number ceiling beyond which an information matrix counts as
+#: singular: the bound refuses such a Fisher matrix, and the estimators end a
+#: row whose field geometry reaches it as unidentified
+CONDITION_LIMIT = 1e12
+
 
 def q_function(x):
     """Standard Gaussian tail probability Q(x) = P[N(0,1) > x].
@@ -134,8 +139,11 @@ def make_uniform_quantizer(m, lo, hi):
 
 def quantize(q, r):
     """Level index j in 1..M of reading(s) r; cells are right-open, so a
-    reading equal to an interior boundary belongs to the upper cell."""
+    reading equal to an interior boundary belongs to the upper cell.
+    Raises ValueError for a reading that is not finite."""
     r = np.asarray(r, dtype=float)
+    if not np.isfinite(r).all():
+        raise ValueError("readings must be finite")
     j = 1 + np.searchsorted(q.boundaries[1:-1], r, side="right")
     return int(j) if np.isscalar(r) or r.ndim == 0 else j
 

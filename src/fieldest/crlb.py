@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .channel import _channel_variance, _p_slope, level_probabilities
+from .channel import CONDITION_LIMIT, _channel_variance, _p_slope, level_probabilities
 from ._quadrature import _simpson_at
 
 #: refuse series evaluations with more enumerated terms than this
@@ -49,9 +49,6 @@ SIMPSON_GUARD = 10**8
 #: K=40, M=16, 21 nodes) 7% slower, and 2**18 added 4.6 MB to the peak RSS
 #: of one process running four `fieldest crlb` configurations
 _BLOCK = 2**17
-
-#: condition-number ceiling beyond which the Fisher matrix counts as singular
-CONDITION_LIMIT = 1e12
 
 
 class SingularFisherError(np.linalg.LinAlgError):

@@ -21,11 +21,23 @@ moves the working rows one iteration: a damped Newton step for analog ML and
 NR (one stacked solve, the eigenvalue-modified step for any row whose Newton
 step is unusable or points downhill, and a line search with a mask of the
 rows still searching), the M-step for EM.  The loop alone keeps each row's
-trace, stall count and end; a row leaves the working set when it converges,
-stalls, fails or hits the cap, and the set is compacted only then.  Each
-row's arithmetic is the same as if it ran alone, so a trial's estimate does
-not depend on the batch it ran in, bit for bit; the single-trial functions
-are batches of one.
+trace, stall count, run-away count and end; a row leaves the working set when
+it converges, stalls, fails, is unidentified or hits the cap, and the set is
+compacted only then.  Each row's arithmetic is the same as if it ran alone,
+so a trial's estimate does not depend on the batch it ran in, bit for bit;
+the single-trial functions are batches of one.
+
+A row's field geometry at its iterate is the analog information Gamma =
+sum_k w_k grad G_k grad G_k^T, with w = 1/(sigma2 + eta2) for analog ML and
+w = 1/sigma2 for EM and NR, formed from the field gradients the derivatives
+already have, and only for the rows tested.  Where Gamma's condition number
+reaches ``CONDITION_LIMIT`` (the bound's own singularity limit) the data say
+nothing about some direction of theta.  A row that passes the score test
+there ends as ``unidentified``; so does a run-away, a row that for
+``_SINGULAR_RUN`` iterates in a row is there while its steps gain next to
+nothing and its largest parameter keeps growing.  It leaves the batch early
+instead of iterating to the cap, while a row that crosses a singular stretch
+and comes back runs on.
 
 Nothing is evaluated twice at one iterate.  The objective returns, beside
 each row's value, its evaluation (the field values g, and for the quantized
@@ -33,8 +45,9 @@ likelihood also the level probabilities p and the row maxima of log p + d),
 which travels with the iterate through the step to the derivatives.  A
 quantized trial's bit distances d are computed once; in EM, one evaluation
 of each new iterate gives its log-likelihood, the next E-step and the
-M-step's starting point, and the M-step hands back the field values at its
-last iterate.
+M-step's starting point, the E-step's field gradients give the score and
+the field geometry and serve the M-step's first Newton iteration, and the
+M-step hands back the field values at its last iterate.
 
 All estimators are deterministic functions of (data, init, config) and report
 their iterate path plus the incomplete-data log-likelihood per iterate.
@@ -48,7 +61,13 @@ from functools import partial
 
 import numpy as np
 
-from .channel import _channel_variance, _p_slope, _p_slopes, level_probabilities
+from .channel import (
+    CONDITION_LIMIT,
+    _channel_variance,
+    _p_slope,
+    _p_slopes,
+    level_probabilities,
+)
 from .field import FieldParams
 
 
@@ -68,6 +87,10 @@ class SolverConfig:
 
     A Newton direction needs no setting: a system that cannot be solved, or
     whose solution does not point uphill, takes the eigenvalue-modified step.
+    Nor does the end of a run-away: a row that stays at a singular field
+    geometry while its steps gain next to nothing and its parameters grow
+    ends as ``unidentified`` after ``_SINGULAR_RUN`` iterates (see the
+    module docstring).
     """
 
     tol: float = 1e-6
@@ -106,9 +129,9 @@ def _modified_steps(grad, hess):
 # How a row leaves the working set of the ascent; code 0 is still working.
 _ENDS = (
     None, None, "nonfinite_objective", "nonfinite_derivatives", "line_search_failed",
-    "stalled", "max_iterations",
+    "stalled", "max_iterations", "unidentified",
 )
-_CONVERGED, _NONFINITE_F, _NONFINITE_D, _NO_ASCENT, _STALLED, _CAPPED = range(1, 7)
+_CONVERGED, _NONFINITE_F, _NONFINITE_D, _NO_ASCENT, _STALLED, _CAPPED, _UNIDENTIFIED = range(1, 8)
 # EM ends a row whose M-step took no step with _INNER + the M-step's code
 _INNER = len(_ENDS)
 _ENDS += tuple(f"inner:{end}" for end in _ENDS)
@@ -201,9 +224,48 @@ def _newton_step(value_fn, cfg, theta, f, ev, grad, hess, data):
     return _backtrack(value_fn, theta, f, ev, _ascent_steps(grad, hess), data, cfg)
 
 
+# How a run-away shows itself: its field geometry is singular, its last step
+# raised the objective (a log-likelihood, in nats) by at most _FLAT while its
+# largest parameter grew by the factor _AWAY or more, and so on for
+# _SINGULAR_RUN iterates in a row.  A row that crosses a singular stretch
+# and comes back keeps gaining or stops growing.  Chosen on parent traces of
+# ten analog-sweep passes, eight em-nr-race passes, the K=40 start-region
+# sweeps (analog, 8 x 200 trials; EM, 8 x 10) and the small-K cells, at two
+# seeds: no row that converged away from a singular point meets the test,
+# and each setting one step away (_FLAT 3e-5 or 2e-4, _AWAY 1.04 or 1.07,
+# _SINGULAR_RUN 3 or 8) spares them too.  See CHANGES.md.
+_SINGULAR_RUN = 5
+_FLAT = 1e-4
+_AWAY = 1.05
+
+
+def _geometry(w, grads):
+    """The field geometries sum_k w_k grad G_k grad G_k^T of a stack of
+    trials, from their (n, K) weights and (n, K, 5) field gradients."""
+    return np.matmul(np.swapaxes(grads * w[:, :, None], 1, 2), grads)
+
+
+def _singular(grads, w, test):
+    """Per row of a stack of field gradients (n, K, 5) with weights (n, K),
+    whether ``test`` asks for it and the condition number of its field
+    geometry reaches CONDITION_LIMIT (a matrix that is not positive definite
+    counts as singular).  Only the rows asked for are formed, and tested by
+    one stacked ``eigvalsh``.  A non-finite geometry is not singular: the
+    row's derivatives or its step end it."""
+    at = [i for i, asked in enumerate(test) if asked]
+    out = [False] * len(test)
+    if at:
+        sub = _geometry(w[at], grads[at])
+        finite = np.isfinite(sub).all(axis=(1, 2))
+        vals = np.linalg.eigvalsh(np.where(finite[:, None, None], sub, np.eye(5)))
+        for i, bad in zip(at, (vals[:, -1] >= CONDITION_LIMIT * vals[:, 0]).tolist()):
+            out[i] = bad
+    return out
+
+
 def _damped_newton_ascent(
     value_fn, derivs_fn, theta0, data, cfg, grad_tol, max_iter, stall_limit=3, start=None,
-    step=None,
+    step=None, identify=True,
 ):
     """Maximize each of T objectives from its row of theta0 (T, 5), all T
     as one array program, by the iteration ``step`` makes: damped Newton
@@ -212,17 +274,26 @@ def _damped_newton_ascent(
     ``value_fn(theta, *data)`` gives the (n,) objectives of n working rows
     and their evaluation: a tuple of per-row by-products (the field values,
     say), which ``derivs_fn(theta, *evaluation, *data)`` reuses to give the
-    (n, 5) gradients and the step's per-row input (Newton's (n, 5, 5)
-    Hessians).  ``step(theta, f, evaluation, gradients, input, data)`` moves
-    the rows one iteration and returns (iterates, objectives, evaluations,
-    end codes, or None when every row moved).  Each array in ``data`` has one
-    row per trial.  The evaluation travels with its iterate, so no iterate
-    is evaluated twice; ``start`` gives (f, evaluation) at theta0 when the
-    caller already has them.  Convergence means the gradient sup-norm fell
-    below grad_tol (one value, or one per row) with the last step within
-    tol.  A row leaves the working set when it converges, fails, stalls,
-    reaches max_iter or the step ends it; the set is compacted only then,
-    and every row's arithmetic is the same as if it ran alone.
+    (n, 5) gradients, the step's per-row inputs (Newton's (n, 5, 5)
+    Hessians) and, last, the (n, K, 5) field gradients and their (n, K)
+    weights, from which ``_singular`` forms a row's field geometry where it
+    tests it.  ``step(theta, f, evaluation, gradients, *inputs, data)``
+    moves the rows one iteration and returns (iterates, objectives,
+    evaluations, end codes, or None when every row moved).  Each array in
+    ``data`` has one row per trial.  The evaluation travels with its
+    iterate, so no iterate is evaluated twice; ``start`` gives (f,
+    evaluation) at theta0 when the caller already has them.  Convergence
+    means the gradient sup-norm fell below grad_tol (one value, or one per
+    row) with the last step within tol; a row whose first input is not
+    finite ends as nonfinite_derivatives.  With ``identify``, a row ends as
+    unidentified instead of converged when its geometry is singular
+    (``_singular``) where it converges or where the step ends it as
+    converged, and it ends as unidentified when it runs away: singular, and
+    flat but growing (``_FLAT``, ``_AWAY``), for ``_SINGULAR_RUN`` iterates
+    in a row.  A row leaves the working set when it converges, fails,
+    stalls, is unidentified, reaches max_iter or the step ends it; the set
+    is compacted only then, and every row's arithmetic is the same as if it
+    ran alone.
     Returns, per row, (trace, values, end code, the evaluation at its last
     iterate).
     """
@@ -238,16 +309,20 @@ def _damped_newton_ascent(
     f, ev = value_fn(theta, *data) if start is None else start
     log = [(rows, theta, f)]
     # per-row scalars: grad_tol, the last step's sup-norm (0 before the first
-    # step, so the step test passes) and the run of steps within tol
+    # step, so the step test passes), the run of steps within tol, whether
+    # the last step was flat but growing, and the run of such steps at a
+    # singular geometry
     tols = np.broadcast_to(grad_tol, (n_rows,)).tolist()
     last_delta = [0.0] * n_rows
     stalls = [0] * n_rows
+    away = [False] * n_rows
+    runs = [0] * n_rows
 
     def settle(end, *extra):
         """Record the rows with a non-zero end code and their last
         evaluation, drop them from the working set and return extra without
         them."""
-        nonlocal rows, theta, f, ev, tols, last_delta, stalls, data
+        nonlocal rows, theta, f, ev, tols, last_delta, stalls, away, runs, data
         for i, (r, code) in enumerate(zip(rows.tolist(), end)):
             if code:
                 ends[r] = code
@@ -261,6 +336,8 @@ def _damped_newton_ascent(
         tols = [tols[i] for i in keep]
         last_delta = [last_delta[i] for i in keep]
         stalls = [stalls[i] for i in keep]
+        away = [away[i] for i in keep]
+        runs = [runs[i] for i in keep]
         data = tuple(a[keep] for a in data)
         return tuple(a[keep] for a in extra)
 
@@ -270,21 +347,35 @@ def _damped_newton_ascent(
     for _ in range(max_iter):
         if not len(rows):
             break
-        grad, hess = derivs_fn(theta, *ev, *data)
+        grad, *inputs, grads, w = derivs_fn(theta, *ev, *data)
         gmax = np.abs(grad).max(axis=1).tolist()  # NaN or inf unless the row is finite
-        hfin = np.isfinite(hess.reshape(len(hess), -1)).all(axis=1).tolist()
+        first = inputs[0]
+        hfin = np.isfinite(first.reshape(len(first), -1)).all(axis=1).tolist()
+        conv = [g < tol and d <= cfg.tol for g, tol, d in zip(gmax, tols, last_delta)]
+        if identify:
+            sing = _singular(grads, w, [a or c for a, c in zip(away, conv)])
+            runs = [run + 1 if a and s else 0 for run, a, s in zip(runs, away, sing)]
+        else:
+            sing = [False] * len(conv)
         end = [
             _NONFINITE_D if not (ok and math.isfinite(g))
-            else _CONVERGED if g < tol and d <= cfg.tol else 0
-            for g, ok, tol, d in zip(gmax, hfin, tols, last_delta)
+            else (_UNIDENTIFIED if s else _CONVERGED) if c
+            else _UNIDENTIFIED if run >= _SINGULAR_RUN
+            else 0
+            for g, ok, c, s, run in zip(gmax, hfin, conv, sing, runs)
         ]
         if any(end):
-            grad, hess = settle(end, grad, hess)
+            grad, grads, w, *inputs = settle(end, grad, grads, w, *inputs)
             if not len(rows):
                 break
-        cand, fc, ev, end = step(theta, f, ev, grad, hess, data)
+        cand, fc, ev, end = step(theta, f, ev, grad, *inputs, data)
         last_delta = np.abs(cand - theta).max(axis=1).tolist()
         stalls = [s + 1 if d <= cfg.tol else 0 for s, d in zip(stalls, last_delta)]
+        if identify:
+            flat = fc - f <= _FLAT
+            away = [False] * len(f) if not _any(flat) else (
+                flat & (np.abs(cand).max(axis=1) >= _AWAY * np.abs(theta).max(axis=1))
+            ).tolist()
         theta, f = cand, fc
         if end is None:  # every row took a step
             log.append((rows, theta, f))
@@ -294,6 +385,9 @@ def _damped_newton_ascent(
         else:
             moved = end == 0
             log.append((rows[moved], theta[moved], f[moved]))
+            if identify:  # a row the step ends as converged stays where it is
+                at = (end == _CONVERGED).tolist()
+                end[np.array(_singular(grads, w, at), dtype=bool)] = _UNIDENTIFIED
         stalled = [_STALLED if s >= stall_limit else 0 for s in stalls]
         settle([code or stall for code, stall in zip(end.tolist(), stalled)])
     if len(rows):  # still working at the cap
@@ -363,9 +457,14 @@ def _wls_value(model, theta, target, w, x, y):
     return _wls_objective(g, target, w), (g,)
 
 
-def _wls_derivs(model, theta, g, target, w, x, y):
+def _wls_derivs(model, theta, g, target, w, x, y, grads=None):
+    """Gradients and Hessians of the least-squares objectives, from the
+    field gradients at theta when given, and those field gradients with
+    their weights w."""
     params = _row_params(theta)
-    return _chain(w * (target - g), -w, model.gradient(params, x, y), model.hessian(params, x, y))
+    if grads is None:
+        grads = model.gradient(params, x, y)
+    return (*_chain(w * (target - g), -w, grads, model.hessian(params, x, y)), grads, w)
 
 
 def _check_trials(zs, nets, word=()):
@@ -490,10 +589,13 @@ def _nr_value(quantizer, model, theta, d, sigma, x, y):
 
 def _nr_derivs(quantizer, model, theta, g, p, amax, d, sigma, x, y):
     """Gradients and Hessians of the quantized log-likelihood at the rows of
-    theta, from their evaluation: l'_k and l''_k lifted by the chain rule."""
+    theta, from their evaluation: l'_k and l''_k lifted by the chain rule;
+    and the field gradients, with the weights 1/sigma2."""
     params = _row_params(theta)
     d1, ratio2 = _ratios(d, p, amax, *_p_slopes(quantizer, g, sigma))
-    return _chain(d1, ratio2 - d1 * d1, model.gradient(params, x, y), model.hessian(params, x, y))
+    grads = model.gradient(params, x, y)
+    hess = model.hessian(params, x, y)
+    return (*_chain(d1, ratio2 - d1 * d1, grads, hess), grads, 1.0 / (sigma * sigma))
 
 
 def nr_estimate_quantized_batch(zs, nets, quantizer, bm, model, eta2, inits, cfg):
@@ -524,41 +626,42 @@ def em_estimate_batch(zs, nets, quantizer, bm, model, eta2, inits, cfg):
     the core whose step is the M-step: the analog least-squares fit to the
     posterior means, by the inner damped Newton, for every trial still
     running.  Each trace records the quantized log-likelihood, which EM does
-    not decrease beyond roundoff.  Each result equals ``em_estimate`` on that
-    trial alone, bit for bit."""
+    not decrease beyond roundoff.  The inner ascent does not test the field
+    geometry: its last iterate is the next outer iterate, where the outer
+    ascent tests it.  Each result equals ``em_estimate`` on that trial
+    alone, bit for bit."""
     data, sigma2 = _quantized_rows(zs, nets, quantizer, bm, eta2)
     w = 1.0 / sigma2
     data += (w, 1e-7 * nets[0].k * np.maximum(1.0, np.mean(w, axis=1)))
     score_tol = 1e-5 * nets[0].k
 
     def value(theta, d, sigma, x, y, *_):
-        """NR's evaluation, and a flag per row that its last step was within
-        tol (true at the start): only there is the score computed."""
-        ll, ev = _nr_value(quantizer, model, theta, d, sigma, x, y)
-        return ll, (*ev, np.ones(len(theta), dtype=bool))
+        return _nr_value(quantizer, model, theta, d, sigma, x, y)
 
-    def score(rows, theta, a_val, g, x, y, w):
-        """The score at the rows of theta: the M-step score
-        sum_k w_k (A_k - g_k) grad G_k equals the incomplete-data score."""
-        grads = model.gradient(_row_params(theta[rows]), x[rows], y[rows])
-        return np.matmul((w[rows] * (a_val[rows] - g[rows]))[:, None, :], grads)[:, 0]
-
-    def e_step(theta, g, p, amax, within, d, sigma, x, y, w, _):
-        """The posterior means, and the score where the core reads it.  A NaN
-        score is left to the M-step (its first gradient) to end the row."""
+    def e_step(theta, g, p, amax, d, sigma, x, y, w, _):
+        """The score; the M-step's inputs, the posterior means and the field
+        gradients; and the field gradients with their weights, for the
+        geometry.  The M-step score sum_k w_k (A_k - g_k) grad G_k equals the
+        incomplete-data score.  A NaN score is left to the M-step (its first
+        gradient) to end the row."""
         a_val = _posterior_means(quantizer, g, p, amax, d, sigma)
-        s = np.zeros_like(theta)
-        if _any(within):
-            s[within] = score(within, theta, a_val, g, x, y, w)
-            np.nan_to_num(s, copy=False, nan=np.finfo(float).max)
-        return s, a_val
+        grads = model.gradient(_row_params(theta), x, y)
+        s = np.matmul((w * (a_val - g))[:, None, :], grads)[:, 0]
+        np.nan_to_num(s, copy=False, nan=np.finfo(float).max)
+        return s, a_val, grads, grads, w
 
-    def m_step(theta, f, ev, s, a_val, data):
+    def m_step(theta, f, ev, s, a_val, grads, data):
         d, sigma, x, y, w, inner_tol = data
-        g, p, amax, within = ev
+        g, p, amax = ev
+        given = [grads]  # the inner ascent starts at theta, where the E-step has them
+
+        def derivs(*args):
+            return _wls_derivs(model, *args, grads=given.pop() if given else None)
+
         outcomes = _damped_newton_ascent(
-            partial(_wls_value, model), partial(_wls_derivs, model), theta, (a_val, w, x, y),
+            partial(_wls_value, model), derivs, theta, (a_val, w, x, y),
             cfg, inner_tol, cfg.max_inner, 1, start=(_wls_objective(g, a_val, w), (g,)),
+            identify=False,
         )
         new = np.array([trace[-1] for trace, *_ in outcomes])
         codes = np.array([code for _, _, code, _ in outcomes])
@@ -572,9 +675,6 @@ def em_estimate_batch(zs, nets, quantizer, bm, model, eta2, inits, cfg):
             end = None
             f, p, amax = _mixture_at(quantizer, g, d, sigma)
         else:
-            late = stuck & ~within
-            if _any(late):
-                s[late] = score(late, theta, a_val, g, x, y, w)
             ok = np.abs(s).max(axis=1) < score_tol
             end = np.where(stuck, np.where(ok, _CONVERGED, _INNER + codes), 0)
             moved = ~stuck
@@ -583,7 +683,7 @@ def em_estimate_batch(zs, nets, quantizer, bm, model, eta2, inits, cfg):
                 f[moved], p[moved], amax[moved] = _mixture_at(
                     quantizer, g[moved], d[moved], sigma[moved]
                 )
-        return new, f, (g, p, amax, np.abs(new - theta).max(axis=1) <= cfg.tol), end
+        return new, f, (g, p, amax), end
 
     outcomes = _damped_newton_ascent(
         value, e_step, np.array([init.as_array() for init in inits]), data, cfg,

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -143,6 +144,10 @@ class ExperimentConfig:
         for row, value in zip(CONFIG_SCHEMA, _config_dict(self).values()):
             if row.kind is float and not all(map(math.isfinite, value if row.many else [value])):
                 raise ConfigError(f"{row.key} must be finite, got {value}")
+            if row.kind is int and not row.many and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            ):
+                raise ConfigError(f"{row.key} must be an integer, got {value!r}")
         paired_snrs(self.snr_o_db, self.snr_c_db)
         if self.channel == "quantized":
             for m in self.m_values:
@@ -617,12 +622,23 @@ def _cell_key_dict(cfg, cell):
     }
 
 
+def _end(record):
+    """How a trial ended: ``converged``, the estimator's divergence reason,
+    or the name of the error it raised."""
+    if record.converged:
+        return "converged"
+    if record.result is None:
+        return record.error.split(":", 1)[0]
+    return record.error
+
+
 def aggregate_cell(cfg, cell, records, tau_grid, crlb_diag=None, crlb_error=None):
     """Aggregate one cell's trial records into the report row.
 
     Statistics over all trials and over the converged subset are reported
     side by side; hard estimator failures (no estimate at all) only count
-    toward the trial totals.
+    toward the trial totals.  ``ends`` counts the trials by how they ended
+    (``_end``), keyed in sorted order.
     """
     records = sorted(records, key=lambda r: r.trial)
     se_all = [r.se for r in records if r.se is not None]
@@ -633,6 +649,7 @@ def aggregate_cell(cfg, cell, records, tau_grid, crlb_diag=None, crlb_error=None
     out["n_estimated"] = len(se_all)
     out["n_converged"] = len(converged)
     out["all_diverged"] = len(converged) == 0
+    out["ends"] = dict(sorted(Counter(_end(r) for r in records).items()))
     out["mse"] = float(np.mean(se_all)) if se_all else None
     out["mse_converged"] = float(np.mean(se_conv)) if se_conv else None
     out["box"] = box_stats(se_all) if se_all else None

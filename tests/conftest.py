@@ -61,7 +61,7 @@ def quantized_loglik_derivs(zmat, net, quantizer, bm, model, eta2, theta):
     data, _ = _quantized_rows([zmat], [net], quantizer, bm, eta2)
     theta = np.asarray(theta, dtype=float)[None]
     ev = _nr_value(quantizer, model, theta, *data)[1]
-    grad, hess = _nr_derivs(quantizer, model, theta, *ev, *data)
+    grad, hess, *_ = _nr_derivs(quantizer, model, theta, *ev, *data)
     return grad[0], hess[0]
 
 

@@ -274,6 +274,15 @@ def test_forward_channels_refuse_non_finite_readings(channel, bad):
         send(np.array([bad, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_refuses_non_finite_readings(bad):
+    # unrefused, NaN and +inf went to the top level and -inf to the bottom
+    q = make_uniform_quantizer(4, 0.0, 12.0)
+    for readings in (bad, np.array([bad, 1.0])):
+        with pytest.raises(ValueError, match="readings must be finite"):
+            quantize(q, readings)
+
+
 @pytest.fixture(scope="module")
 def one_trial(truth, area):
     """A six-sensor network at the default truth with one analog and one

@@ -136,7 +136,7 @@ def test_batch_rows_with_a_singular_hessian_and_an_invalid_first_step_run_as_alo
     theta = np.array([init.as_array() for init in inits])
     zv, w, x, y = _analog_rows([z for _, z in data], [net for net, _ in data], eta2)
     _, (g,) = _wls_value(GAUSSIAN_BELL, theta, zv, w, x, y)
-    grad, hess = _wls_derivs(GAUSSIAN_BELL, theta, g, zv, w, x, y)
+    grad, hess, *_ = _wls_derivs(GAUSSIAN_BELL, theta, g, zv, w, x, y)
     # preconditions: row 1's Hessian is exactly singular, so the stacked
     # solve fails as a whole; row 2's full first step makes a spread
     # non-positive
@@ -484,9 +484,11 @@ def test_each_quantized_iterate_is_evaluated_once(monkeypatch):
     assert counts["level_probabilities"] == len(em.trace)
     assert counts["_p_slope"] == em.iterations  # one E-step per outer iteration
     assert counts["_p_slopes"] == 0  # the E-step needs no second derivatives
-    # 1899, 708 and 508 when each iterate was evaluated again by the E-step,
-    # the M-step's start and the derivatives
-    assert model.calls == {"value": 791, "gradient": 509, "hessian": 508}
+    # 1899, 509 and 508 when each iterate was evaluated again by the E-step,
+    # the M-step's start and the derivatives.  The E-step's field gradients
+    # give the score and the field geometry and serve the M-step's first
+    # inner iteration, so every gradient feeds one Hessian
+    assert model.calls == {"value": 791, "gradient": 508, "hessian": 508}
 
 
 class _FailsAfter(_CountingModel):
@@ -505,14 +507,14 @@ class _FailsAfter(_CountingModel):
 @pytest.mark.parametrize(
     ("fails", "m", "n", "trial", "iterations", "reason", "calls"),
     [
-        ("hessian", 8, 0, 0, 0, "inner:nonfinite_derivatives", (1, 2, 1)),
-        ("hessian", 8, 5, 0, 1, "inner:nonfinite_derivatives", (8, 8, 6)),
-        ("hessian", 8, 5, 1, 2, "inner:nonfinite_derivatives", (6, 9, 7)),
-        ("hessian", 8, 5, 2, 2, "inner:nonfinite_derivatives", (6, 9, 7)),
-        ("hessian", 16, 302, 0, 98, None, (441, 306, 304)),
+        ("hessian", 8, 0, 0, 0, "inner:nonfinite_derivatives", (1, 1, 1)),
+        ("hessian", 8, 5, 0, 1, "inner:nonfinite_derivatives", (8, 6, 6)),
+        ("hessian", 8, 5, 1, 2, "inner:nonfinite_derivatives", (6, 7, 7)),
+        ("hessian", 8, 5, 2, 2, "inner:nonfinite_derivatives", (6, 7, 7)),
+        ("hessian", 16, 302, 0, 98, None, (441, 304, 304)),
         # a NaN score at the E-step: the M-step's first gradient is the same
         # NaN, and the trial ends there
-        ("gradient", 8, 0, 0, 0, "inner:nonfinite_derivatives", (1, 2, 1)),
+        ("gradient", 8, 0, 0, 0, "inner:nonfinite_derivatives", (1, 1, 1)),
     ],
 )
 def test_an_m_step_that_takes_no_step_ends_its_row(
@@ -520,8 +522,9 @@ def test_an_m_step_that_takes_no_step_ends_its_row(
 ):
     """When the M-step's inner Newton ends without a step, EM ends the trial:
     converged when the score is below tolerance, else with the inner reason.
-    The model-call counts pin that the score is computed only where it is
-    read."""
+    The model-call counts pin one gradient per outer iterate: the E-step's,
+    which gives the score and the field geometry and serves the M-step's
+    first inner iteration."""
     net, z, quantizer, bm, eta2, init, cfg = _race_trial(m, trial)
     model = _FailsAfter(fails, n)
     res = em_estimate(z, net, quantizer, bm, model, eta2, init, cfg)
@@ -530,9 +533,9 @@ def test_an_m_step_that_takes_no_step_ends_its_row(
     )
     assert tuple(model.calls[k] for k in ("value", "gradient", "hessian")) == calls
     if reason is None:
-        # the last step was not within tol, so the E-step did not compute the
-        # score: the stuck M-step computed it late.  Unmodified, the trial
-        # runs on to iteration 107.
+        # the last step was not within tol: the stuck M-step's row converges
+        # on the E-step's score.  Unmodified, the trial runs on to
+        # iteration 107.
         assert np.abs(res.trace[-1] - res.trace[-2]).max() > cfg.tol
         plain = em_estimate(z, net, quantizer, bm, GAUSSIAN_BELL, eta2, init, cfg)
         assert (plain.iterations, plain.converged) == (107, True)
@@ -566,3 +569,153 @@ def test_rows_accepting_at_different_halvings_run_as_alone(monkeypatch):
     for net, z, init, got in zip(nets, zs, inits, batch):
         alone = newton_ml_analog(z, net, GAUSSIAN_BELL, calib[1], init, cfg.solver)
         assert_same_outcome(got, alone)
+
+
+# ------------------------------------------------- singular field geometry
+
+
+def _small_k_cell(estimator, k, m, trials):
+    """The inputs of one default-seed 15/15 dB cell, and its batch estimator
+    as a function of (nets, zs, inits)."""
+    channel = "analog" if estimator == "newton" else "quantized"
+    cfg = ExperimentConfig(
+        channel=channel, k_values=(k,), m_values=(m or 8,), trials=trials, estimator=estimator,
+        crlb_enabled=False,
+    )
+    cells, ids = resolve_cells(cfg)
+    calib = experiments._cell_calibration(cfg, cells[0])
+    nets, zs, inits, _ = zip(
+        *(experiments._trial_inputs(cfg, cells[0], ids[0], t, calib) for t in range(trials))
+    )
+    extra = () if channel == "analog" else experiments._quantizer(cfg, cells[0])
+    batch = experiments._BATCH_ESTIMATORS[estimator]
+
+    def run(rows, model=GAUSSIAN_BELL):
+        return batch(
+            [zs[i] for i in rows], [nets[i] for i in rows], *extra, model, calib[1],
+            [inits[i] for i in rows], cfg.solver,
+        )
+
+    return nets, calib, run
+
+
+def _is_singular(net, theta, w):
+    """Whether the field geometry at theta is singular, as the core tests it."""
+    grads = GAUSSIAN_BELL.gradient(FieldParams.from_array(theta), net.x, net.y)
+    return estimators._singular(grads[None], np.full((1, net.k), w), [True])[0]
+
+
+@pytest.mark.parametrize(
+    ("estimator", "k", "trial", "iterations"),
+    # each passes the score test at a singular point: EM K=8 trial 2 at
+    # h = 3.9e15 after 88 iterations, EM K=10 trial 0 at h = 1.3e4 after 166,
+    # NR K=8 trial 6 at h = -5e-10 after 16; EM K=10 trial 1 would at
+    # h = 2.0e9 after 118, but runs away (flat, growing and singular) from
+    # iteration 16 on
+    [("em", 8, 2, 88), ("em", 10, 0, 166), ("em", 10, 1, 20), ("nr", 8, 6, 16)],
+)
+def test_run_away_rows_end_unidentified(estimator, k, trial, iterations):
+    """Rows that stop at a singular field geometry end as unidentified, not
+    as converged: where they pass the score test, or after _SINGULAR_RUN
+    iterates of running away."""
+    nets, calib, run = _small_k_cell(estimator, k, 8, trial + 1)
+    (res,) = run([trial])
+    assert (res.converged, res.divergence_reason, res.iterations) == (
+        False, "unidentified", iterations,
+    )
+    assert _is_singular(nets[trial], res.trace[-1], 1.0 / calib[0])
+
+
+@pytest.mark.parametrize(
+    ("estimator", "region", "trial", "iterations", "stretch"),
+    # analog Newton, K=40, start region 6 of the acceptance sweep: SE 0.008;
+    # EM, K=40, M=8, start region 6 of demos/hard_starts.py: SE 0.584
+    [("newton", 6, 33, 193, 152), ("em", 6, 3, 183, 63)],
+)
+def test_a_row_that_crosses_a_singular_stretch_runs_on(
+    estimator, region, trial, iterations, stretch
+):
+    """Far starts cross long singular stretches and come back, still gaining
+    or no longer growing: they are no run-aways, and converge."""
+    channel = "analog" if estimator == "newton" else "quantized"
+    cfg = ExperimentConfig(
+        channel=channel, k_values=(40,), m_values=(8,), trials=trial + 1, estimator=estimator,
+        init_policy="region", init_regions=(region,), crlb_enabled=False,
+    )
+    cells, ids = resolve_cells(cfg)
+    calib = experiments._cell_calibration(cfg, cells[0])
+    (record,) = experiments._run_trials(cfg, cells[0], ids[0], calib, [trial])
+    res = record.result
+    assert (res.converged, res.iterations) == (True, iterations)
+    net, *_ = experiments._trial_inputs(cfg, cells[0], ids[0], trial, calib)
+    run = longest = 0
+    for theta in res.trace:
+        run = run + 1 if _is_singular(net, theta, 1.0 / calib[0]) else 0
+        longest = max(longest, run)
+    assert longest == stretch
+
+
+@pytest.mark.parametrize(
+    ("estimator", "k", "m", "trials"),
+    [("newton", 10, None, 40), ("em", 8, 8, 15), ("nr", 8, 8, 15)],
+)
+def test_a_row_ends_the_same_in_any_batch(estimator, k, m, trials):
+    """A row's end, iterations and trace are the same in a batch of all the
+    cell's trials, in batches of 7 and alone, bit for bit, with unidentified
+    and converged rows in the same batch."""
+    _, _, run = _small_k_cell(estimator, k, m, trials)
+    everything = run(range(trials))
+    sevens = [res for s in range(0, trials, 7) for res in run(range(s, min(s + 7, trials)))]
+    alone = [run([t])[0] for t in range(trials)]
+    for res, seven, one in zip(everything, sevens, alone):
+        assert_same_outcome(res, one)
+        assert_same_outcome(seven, one)
+    ends = {res.divergence_reason for res in everything}
+    assert {None, "unidentified"} <= ends  # precondition: both kinds share the batch
+
+
+@pytest.mark.parametrize("estimator", ["newton", "nr"])
+def test_a_nan_gradient_ends_its_row_as_nonfinite_derivatives(estimator):
+    """A NaN gradient makes a NaN geometry, which the singularity test skips
+    (eigvalsh would raise on it): the row ends nonfinite_derivatives."""
+    _, _, run = _small_k_cell(estimator, 40, 8, 1)
+    (res,) = run([0], _FailsAfter("gradient", 2))
+    assert (res.iterations, res.divergence_reason) == (2, "nonfinite_derivatives")
+
+
+def test_the_singularity_test_skips_non_finite_geometries():
+    # five sensors whose field gradients are scaled unit vectors: the
+    # geometry is diagonal, with the squares of the scales on the diagonal
+    spectra = [
+        [1.0, 2.0, 3.0, 4.0, 5.0],  # healthy
+        [np.nan] * 5,
+        [1.0, 2.0, 3.0, 4.0, 0.0],  # rank four
+        [1e12, 1.0, 1.0, 1.0, 1.0],  # the bound's own limit, reached
+        [1e12 - 1e3, 1.0, 1.0, 1.0, 1.0],
+    ]
+    grads = np.array([np.diag(np.sqrt(v)) for v in spectra])
+    w = np.ones((5, 5))
+    assert estimators._singular(grads, w, [True] * 5) == [False, False, True, True, False]
+    assert estimators._singular(grads, w, [False, True, False, True, True]) == [
+        False, False, False, True, False,
+    ]
+    assert estimators._singular(grads, w, [False] * 5) == [False] * 5
+
+
+def test_a_row_the_m_step_ends_as_converged_at_a_singular_point_is_unidentified(monkeypatch):
+    """The stuck M-step of the hessian-16-302 case above converges its row
+    at outer iteration 98, past the core's own score test; when the geometry
+    there is singular, the core ends the row as unidentified instead."""
+    net, z, quantizer, bm, eta2, init, cfg = _race_trial(16)
+    calls = []
+
+    def every_tested_row_singular(grads, w, test):
+        calls.append(list(test))
+        return list(test)
+
+    monkeypatch.setattr(estimators, "_singular", every_tested_row_singular)
+    res = em_estimate(z, net, quantizer, bm, _FailsAfter("hessian", 302), eta2, init, cfg)
+    assert (res.iterations, res.divergence_reason) == (98, "unidentified")
+    # one call per outer iteration, with the row tested only where the step
+    # ends it, and none in the M-steps
+    assert calls == [[False]] * 99 + [[True]]

@@ -40,6 +40,7 @@ from fieldest import cli
 from fieldest import (
     FieldParams,
     GAUSSIAN_BELL,
+    SolverConfig,
     calibrate_eta_analog,
     calibrate_eta_quantized,
     calibrate_sigma,
@@ -224,6 +225,29 @@ def test_config_rejects_bad_values(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"crlb_zeta": 4.5},
+        {"crlb_nodes": 21.0},
+        {"trials": 3.0},
+        {"trials": True},
+        {"base_seed": 7.5},
+        {"tau_count": 5.5},
+        {"grid": 201.0},
+        {"workers": 1.0},
+        {"solver": SolverConfig(max_outer=200.5)},
+    ],
+)
+def test_config_refuses_non_integers_for_integer_keys(kwargs):
+    # accepted as given, crlb.zeta = 4.5 ran the series at order 4 and keyed
+    # its bound series(zeta=4.5)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        ExperimentConfig(channel="quantized", k_values=(10,), m_values=(2,), **kwargs)
+    # an integer of any NumPy width is an integer
+    assert ExperimentConfig(trials=np.int64(3)).trials == 3
+
+
 def test_resolve_cells_order_and_pairing():
     cfg = ExperimentConfig(
         channel="quantized",
@@ -331,8 +355,13 @@ def test_run_trial_region_init_stays_in_band():
 
 
 def _stub_record(trial, se, converged, theta=None, iterations=5, failed=False):
+    """A record as ``_run_trials`` makes it: a trial that did not converge
+    carries its end reason, one that raised the error's name and message."""
     result = None
-    if not failed:
+    error = None if converged else "max_iterations"
+    if failed:
+        error = "EstimationError: a received word has zero mixture mass at every level"
+    else:
         result = SimpleNamespace(
             theta_hat=FieldParams.from_array(np.asarray(theta, dtype=float)),
             iterations=iterations,
@@ -346,6 +375,7 @@ def _stub_record(trial, se, converged, theta=None, iterations=5, failed=False):
         result=result,
         se=None if failed else se,
         converged=converged,
+        error=error,
     )
 
 
@@ -371,6 +401,9 @@ def test_aggregate_cell_hand_built():
     assert row["n_estimated"] == 4
     assert row["n_converged"] == 3
     assert not row["all_diverged"]
+    # every trial counted once by how it ended, keys in sorted order
+    assert row["ends"] == {"EstimationError": 1, "converged": 3, "max_iterations": 1}
+    assert list(row["ends"]) == sorted(row["ends"])
     assert row["mse"] == pytest.approx(np.mean([0.1, 0.3, 0.2, 9.0]))
     assert row["mse_converged"] == pytest.approx(0.2)
     assert row["box"]["median"] == pytest.approx(0.25)
@@ -390,6 +423,7 @@ def test_aggregate_cell_all_diverged():
     row = aggregate_cell(cfg, cell, records, np.array([1.0, 2.0]))
     assert row["all_diverged"]
     assert row["n_estimated"] == 0
+    assert row["ends"] == {"EstimationError": 3}
     assert row["mse"] is None and row["box"] is None and row["po"] is None
     assert row["variance_converged"] is None
     assert row["mean_iterations_converged"] is None
@@ -645,6 +679,10 @@ def test_reports_identical_across_worker_counts(monkeypatch, tmp_path):
     # report is byte-identical for any worker count and any split
     cfg = _tiny_analog_cfg(k_values=(5, 9), trials=15, crlb_enabled=True)
     serial = _report_bytes(run_campaign(cfg), tmp_path / "serial.json")
+    # the bytes compared hold each cell's end histogram, here with converged
+    # and unidentified rows in every cell
+    ends = [row["ends"] for row in json.loads(serial)["cells"]]
+    assert all({"converged", "unidentified"} <= set(e) for e in ends)
     assert _report_bytes(run_campaign(replace(cfg, workers=2)), tmp_path / "w2.json") == serial
     for size in (1, 7, cfg.trials):
         monkeypatch.setattr(experiments, "_trial_chunks", _split_by(size))
@@ -764,9 +802,11 @@ def test_a_batch_equals_its_rows_run_alone():
                 alone = newton_ml_analog(z, net, GAUSSIAN_BELL, calib[1], init, cfg.solver)
                 assert_same_outcome(record.result, alone)
                 reasons[seed, record.error] = reasons.get((seed, record.error), 0) + 1
-    # the default seed's cells include rows that fail or hit the cap
+    # the default seed's cells include rows that fail, hit the cap, or run
+    # away and end unidentified
     assert reasons[20240901, "line_search_failed"] > 0
     assert reasons[20240901, "max_iterations"] > 0
+    assert reasons[20240901, "unidentified"] > 0
     # likewise EM and NR on the em-nr-race cells, 6 trials each
     for estimator, alone in (("em", em_estimate), ("nr", nr_estimate_quantized)):
         mixed = 0  # batches with rows that converge and rows at the cap
