@@ -112,7 +112,7 @@ class ExperimentConfig:
     tau_max: float = 1e2
     tau_count: int = 50
     grid: int = 201
-    workers: int = 1
+    workers: int = 0
 
     def __post_init__(self):
         for row in CONFIG_SCHEMA:
@@ -179,8 +179,10 @@ class ExperimentConfig:
             )
         if not 11 <= self.grid <= _MAX_GRID or self.grid % 2 == 0:
             raise ConfigError(f"quadrature.grid must be odd and in 11..{_MAX_GRID}, got {self.grid}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if self.workers < 0:
+            raise ConfigError(
+                f"run.workers must be >= 0 (0: one per usable CPU), got {self.workers}"
+            )
         # a noise variance is a mean power over 10^(snr/10); on the quantized
         # channel the power lies between the extreme squared levels
         mean_sq = _mean_square(GAUSSIAN_BELL, self.truth, self.area, self.grid)
@@ -492,20 +494,21 @@ def run_trial(cfg, trial):
 _BATCH_POINTS = 2**15
 
 
-def _trial_chunks(cfg, k):
-    """Contiguous trial ranges, each run as one batch: every trial at once in
-    a single process, or about four ranges per worker in a pool."""
-    size = cfg.trials if cfg.workers == 1 else max(1, cfg.trials // (4 * cfg.workers))
-    size = min(size, max(1, _BATCH_POINTS // k))
-    return [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
-
-
-def _cell_trials(cfg, cell, data_cell_id, calib, executor):
-    """All trial records for one calibrated cell, in trial order."""
-    run = partial(_run_trials, cfg, cell, data_cell_id, calib)
-    chunks = _trial_chunks(cfg, cell.k)
-    batches = map(run, chunks) if executor is None else executor.map(run, chunks)
-    return [record for batch in batches for record in batch]
+def _trial_chunks(cfg, processes=1, runs=1):
+    """Per cell of the sweep, the contiguous trial ranges that each estimator
+    runs as one batch.  A cell is one batch unless its trials times K exceed
+    ``_BATCH_POINTS``.  Only when the sweep's batches, ``runs`` per range,
+    are fewer than ``processes`` is every cell cut further, into near-equal
+    ranges of at least two trials."""
+    cells, _ = resolve_cells(cfg)
+    pieces = [-(-cfg.trials // max(1, _BATCH_POINTS // cell.k)) for cell in cells]
+    batches = runs * sum(pieces)
+    if batches < processes:
+        more = -(-processes // batches)
+        pieces = [max(p, min(p * more, cfg.trials // 2)) for p in pieces]
+    return [
+        [range(cfg.trials * i // p, cfg.trials * (i + 1) // p) for i in range(p)] for p in pieces
+    ]
 
 
 # ----------------------------------------------------------------- campaign
@@ -572,42 +575,68 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+class _Done(NamedTuple):
+    """A batch run in-process, read as a finished future."""
+
+    records: list
+
+    def result(self):
+        return self.records
+
+    @classmethod
+    def submit(cls, fn, *args):
+        return cls(fn(*args))
+
+
 def _sweep(cfg, estimators):
     """Per cell, yield (cell, records of each estimator, (crlb_diag,
-    crlb_error)).  A cell is calibrated once and bounded once; every
-    estimator runs on the same trials, in a pool of ``run.workers``
-    processes, or of as many as the largest cell has batches or this process
-    has CPUs if fewer, when that is above 1."""
+    crlb_error)).  A cell is calibrated once and bounded once, in this
+    process; every estimator runs on the same trials.
+
+    The batches of the whole sweep (``_trial_chunks``) run in one pool of
+    ``run.workers`` processes (0: one per usable CPU), but of no more than
+    this process has CPUs or the sweep has batches; one batch runs
+    in-process.  Each cell's batches are queued right after its calibration,
+    so the pool starts after the first one (a quantized campaign's workers
+    inherit scipy.special), and cells are yielded in order as their batches
+    finish."""
     cells, ids = resolve_cells(cfg)
-    workers = min(cfg.workers, max(len(_trial_chunks(cfg, cell.k)) for cell in cells))
     cpus = _usable_cpus()
-    if workers > cpus:
-        # the trial chunks still follow run.workers, so the report does not change
-        print(
-            f"warning: run.workers = {cfg.workers} exceeds the {cpus} CPUs this process "
-            f"may use; the pool starts at most {cpus} processes",
-            file=sys.stderr,
-        )
-        workers = cpus
-    executor = None
+    processes = min(cfg.workers or cpus, cpus)
+    chunks = _trial_chunks(cfg, processes, len(estimators))
+    workers = min(processes, len(estimators) * sum(map(len, chunks)))
+    runs = [replace(cfg, estimator=e) for e in estimators]
+    submit, executor = _Done.submit, None
     if workers > 1:
-        # the pool's modules load only here; its workers start at the first
-        # batch, after the first cell's calibration, so a quantized
-        # campaign's workers inherit scipy.special
+        if cfg.workers > cpus:
+            print(
+                f"warning: run.workers = {cfg.workers} exceeds the {cpus} CPUs this process "
+                f"may use; the pool starts at most {cpus} processes",
+                file=sys.stderr,
+            )
+        # the pool's modules load only here
         from concurrent.futures import ProcessPoolExecutor
 
         executor = ProcessPoolExecutor(max_workers=workers)
-    try:
-        for cell, data_id in zip(cells, ids):
+        submit = executor.submit
+
+    def queued():
+        for cell, data_id, cell_chunks in zip(cells, ids, chunks):
             calib = _cell_calibration(cfg, cell)
-            records = [
-                _cell_trials(replace(cfg, estimator=e), cell, data_id, calib, executor)
-                for e in estimators
+            batches = [
+                [submit(_run_trials, run, cell, data_id, calib, c) for c in cell_chunks]
+                for run in runs
             ]
+            yield cell, data_id, calib, batches
+
+    try:
+        # a pool gets every batch before the first cell is awaited
+        for cell, data_id, calib, batches in queued() if executor is None else list(queued()):
+            records = [[r for batch in run for r in batch.result()] for run in batches]
             yield cell, records, _cell_crlb(cfg, cell, data_id, calib)
     finally:
         if executor is not None:
-            executor.shutdown()
+            executor.shutdown(cancel_futures=True)
 
 
 def _cell_key_dict(cfg, cell):
@@ -672,7 +701,8 @@ def aggregate_cell(cfg, cell, records, tau_grid, crlb_diag=None, crlb_error=None
 def _report(cfg, rows):
     return {
         "version": __version__,
-        "config": _config_dict(cfg),
+        # run.workers changes no result, so the report does not echo it
+        "config": {k: v for k, v in _config_dict(cfg).items() if k != "run.workers"},
         "param_names": list(PARAM_NAMES),
         "tau_grid": [float(v) for v in cfg.tau_grid],
         "cells": rows,

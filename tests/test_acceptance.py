@@ -367,7 +367,7 @@ def test_em_loglik_ascends_on_every_trial():
     )
     cells, ids = resolve_cells(cfg)
     calib = experiments._cell_calibration(cfg, cells[0])
-    records = experiments._cell_trials(cfg, cells[0], ids[0], calib, None)
+    records = experiments._run_trials(cfg, cells[0], ids[0], calib, range(cfg.trials))
     worst_drop = np.inf
     n_traces = 0
     hard_failures = 0

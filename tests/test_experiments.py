@@ -1,6 +1,7 @@
 """Campaign machinery: metrics, sweep resolution, trials, aggregation, config."""
 
 import json
+import multiprocessing
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -216,7 +217,7 @@ def test_config_estimator_resolution_and_guards():
         {"tau_count": 1},
         {"grid": 100},
         {"grid": 9},
-        {"workers": 0},
+        {"workers": -1},
         {"truth": (1.0, 2.0)},
     ],
 )
@@ -646,23 +647,17 @@ def test_compare_requires_quantized_before_running_anything():
         compare_em_nr(cfg)
 
 
-def _without_workers(report):
-    """The report as JSON, minus the one field that echoes run.workers."""
-    report = json.loads(json.dumps(report))
-    del report["config"]["run.workers"]
-    return json.dumps(report, indent=2)
-
-
 def _report_bytes(report, path):
-    """report.json as exported, with the echo of run.workers set to 1."""
-    report = json.loads(json.dumps(report))
-    report["config"]["run.workers"] = 1
+    """report.json as exported."""
     return export_report(report, path, fmt="json").read_bytes()
 
 
 def _split_by(size):
-    def chunks(cfg, k):
-        return [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
+    """A ``_trial_chunks`` that cuts every cell into ranges of ``size`` trials."""
+
+    def chunks(cfg, processes=1, runs=1):
+        cut = [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
+        return [cut for _ in resolve_cells(cfg)[0]]
 
     return chunks
 
@@ -678,12 +673,14 @@ def test_reports_identical_across_worker_counts(monkeypatch, tmp_path):
     # the analog trials of a cell run as one batch per contiguous chunk; the
     # report is byte-identical for any worker count and any split
     cfg = _tiny_analog_cfg(k_values=(5, 9), trials=15, crlb_enabled=True)
-    serial = _report_bytes(run_campaign(cfg), tmp_path / "serial.json")
+    serial = _report_bytes(run_campaign(replace(cfg, workers=1)), tmp_path / "serial.json")
     # the bytes compared hold each cell's end histogram, here with converged
     # and unidentified rows in every cell
     ends = [row["ends"] for row in json.loads(serial)["cells"]]
     assert all({"converged", "unidentified"} <= set(e) for e in ends)
-    assert _report_bytes(run_campaign(replace(cfg, workers=2)), tmp_path / "w2.json") == serial
+    for workers in (0, 2):
+        path = tmp_path / f"w{workers}.json"
+        assert _report_bytes(run_campaign(replace(cfg, workers=workers)), path) == serial
     for size in (1, 7, cfg.trials):
         monkeypatch.setattr(experiments, "_trial_chunks", _split_by(size))
         for workers in (1, 2):
@@ -694,15 +691,17 @@ def test_reports_identical_across_worker_counts(monkeypatch, tmp_path):
     single = replace(cfg, k_values=(9,))
     cells, ids = resolve_cells(single)
     calib = experiments._cell_calibration(single, cells[0])
-    records = experiments._cell_trials(single, cells[0], ids[0], calib, None)
+    records = experiments._run_trials(single, cells[0], ids[0], calib, range(single.trials))
     for t in (0, 6, 14):
         _same_record(run_trial(single, t), records[t])
     qcfg = ExperimentConfig(
         channel="quantized", k_values=(8,), m_values=(2, 4), trials=3,
-        crlb_enabled=False, tau_count=5,
+        crlb_enabled=False, tau_count=5, workers=1,
     )
-    serial = compare_em_nr(qcfg)
-    assert _without_workers(compare_em_nr(replace(qcfg, workers=2))) == _without_workers(serial)
+    serial = _report_bytes(compare_em_nr(qcfg), tmp_path / "compare.json")
+    for workers in (0, 2):
+        path = tmp_path / f"compare_{workers}.json"
+        assert _report_bytes(compare_em_nr(replace(qcfg, workers=workers)), path) == serial
     # the quantized trials of a cell run as one EM or NR batch per chunk too
     for estimator in ("em", "nr"):
         ecfg = replace(qcfg, estimator=estimator, k_values=(30,), m_values=(4, 16), trials=9)
@@ -716,48 +715,112 @@ def test_reports_identical_across_worker_counts(monkeypatch, tmp_path):
         monkeypatch.undo()
 
 
-def test_the_pool_starts_no_more_processes_than_the_largest_cell_has_batches(
-    monkeypatch,
-):
-    # two one-trial batches start two processes, not six; a single batch
-    # runs in-process; both reports are the serial one.  Two usable CPUs, so
-    # the CPU cap neither lowers nor depends on the expected counts
-    spawned = []
-    real = ProcessPoolExecutor._spawn_process
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """The processes the pool starts and the trial ranges it is sent, on a
+    host with the given number of usable CPUs; a test never starts more than
+    two real processes."""
+    calls = SimpleNamespace(spawned=[], chunks=[], futures=[])
+    real_spawn, real_submit = ProcessPoolExecutor._spawn_process, ProcessPoolExecutor.submit
 
-    def counting(self):
-        spawned.append(self)
-        if len(spawned) <= 2:  # a test never starts more than two processes
-            real(self)
+    def spawning(self):
+        calls.spawned.append(self)
+        if len(calls.spawned) <= 2:
+            real_spawn(self)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for trials, workers, started in ((2, 6, 2), (1, 3, 0)):
-        cfg = _tiny_analog_cfg(trials=trials)
-        serial = _without_workers(run_campaign(cfg))
-        spawned.clear()
-        report = run_campaign(replace(cfg, workers=workers))
-        assert len(spawned) == started
-        assert _without_workers(report) == serial
+    def submitting(self, fn, *args):
+        calls.chunks.append(args[-1])
+        calls.futures.append(real_submit(self, fn, *args))
+        return calls.futures[-1]
+
+    def with_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", spawning)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submitting)
+    calls.with_cpus = with_cpus
+    return calls
+
+
+def test_the_pool_starts_no_more_processes_than_the_sweep_has_batches(pool_calls, tmp_path):
+    # four usable CPUs and run.workers = 0: a 6-trial cell is cut into three
+    # 2-trial batches and starts three processes, two 1-trial cells start
+    # two, and a 3-trial cell stays one batch, run in-process; every report
+    # is the serial one
+    pool_calls.with_cpus(4)
+    for k_values, trials, chunks in (
+        ((6,), 6, [range(0, 2), range(2, 4), range(4, 6)]),
+        ((6, 7), 1, [range(1), range(1)]),
+        ((6,), 3, []),
+    ):
+        cfg = _tiny_analog_cfg(k_values=k_values, trials=trials)
+        serial = _report_bytes(run_campaign(replace(cfg, workers=1)), tmp_path / "serial.json")
+        pool_calls.spawned.clear()
+        pool_calls.chunks.clear()
+        assert _report_bytes(run_campaign(cfg), tmp_path / "pool.json") == serial
+        assert pool_calls.chunks == chunks
+        assert len(pool_calls.spawned) == len(chunks)
+
+
+def test_a_sweep_runs_each_cell_as_one_batch_per_estimator(pool_calls, tmp_path):
+    # a 4-cell analog campaign and a one-trial-per-cell compare over four M:
+    # every (cell, estimator) is one batch of all its trials, every batch
+    # goes to one pool of two processes on two CPUs, and the reports are the
+    # serial ones
+    pool_calls.with_cpus(2)
+    analog = _tiny_analog_cfg(k_values=(10, 20, 40, 100), trials=4)
+    race = ExperimentConfig(
+        channel="quantized", k_values=(20,), m_values=(2, 4, 8, 16), trials=1,
+        crlb_enabled=False, tau_count=5,
+    )
+    for run, cfg, batches in ((run_campaign, analog, 4), (compare_em_nr, race, 8)):
+        serial = _report_bytes(run(replace(cfg, workers=1)), tmp_path / "serial.json")
+        pool_calls.spawned.clear()
+        pool_calls.chunks.clear()
+        assert _report_bytes(run(cfg), tmp_path / "pool.json") == serial
+        assert pool_calls.chunks == [range(cfg.trials)] * batches
+        assert len(pool_calls.spawned) == 2
+
+
+def test_a_cell_is_cut_only_by_its_size_or_for_idle_processes():
+    cfg = ExperimentConfig(k_values=(20,), trials=1000)
+    # one cell of 1000 x 20 trial-sensor pairs is one batch, cut in two for
+    # two processes unless a second estimator already fills the second
+    assert experiments._trial_chunks(cfg) == [[range(1000)]]
+    assert experiments._trial_chunks(cfg, 2) == [[range(0, 500), range(500, 1000)]]
+    assert experiments._trial_chunks(cfg, 2, runs=2) == [[range(1000)]]
+    # _BATCH_POINTS cuts a cell of K = 100 into ranges of at most 327 trials
+    wide = replace(cfg, k_values=(10, 100))
+    assert experiments._trial_chunks(wide, 2) == [
+        [range(1000)], [range(0, 250), range(250, 500), range(500, 750), range(750, 1000)]
+    ]
+    # never into batches of fewer than two trials
+    assert experiments._trial_chunks(replace(cfg, trials=3), 2) == [[range(3)]]
+    assert experiments._trial_chunks(replace(cfg, trials=5), 8) == [[range(0, 2), range(2, 5)]]
+
+
+def test_closing_the_sweep_cancels_its_queued_batches(pool_calls):
+    # the generator closes after its first cell: the pool cancels the
+    # batches still queued, and no worker process outlives it
+    pool_calls.with_cpus(2)
+    cfg = _tiny_analog_cfg(k_values=tuple(range(6, 22)), trials=8)
+    sweep = experiments._sweep(cfg, ("newton",))
+    cell, (records,), _ = next(sweep)
+    assert cell.k == 6 and [r.trial for r in records] == list(range(8))
+    sweep.close()
+    assert len(pool_calls.futures) == 16 and len(pool_calls.spawned) == 2
+    assert all(f.done() for f in pool_calls.futures)
+    assert any(f.cancelled() for f in pool_calls.futures)
+    assert multiprocessing.active_children() == []
 
 
 def test_the_pool_starts_no_more_processes_than_this_process_has_cpus(
-    monkeypatch, tmp_path, capsys
+    pool_calls, tmp_path, capsys
 ):
-    # run.workers = 6 with 2 usable CPUs: 8 one-trial batches run in 2
+    # run.workers = 6 with 2 usable CPUs: a cell of 8 trials runs in 2
     # processes, the report is the serial one, and one warning names both
-    spawned = []
-    real = ProcessPoolExecutor._spawn_process
-
-    def counting(self):
-        spawned.append(self)
-        if len(spawned) <= 2:  # a test never starts more than two processes
-            real(self)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pool_calls.with_cpus(2)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "channel.kind = analog\nnetwork.k = 6\ncrlb.enabled = false\nreport.tau_count = 5\n"
@@ -767,8 +830,8 @@ def test_the_pool_starts_no_more_processes_than_this_process_has_cpus(
         out = tmp_path / f"w{workers}"
         argv = ["campaign", "--config", str(cfg), "--out", str(out), "--format", "json"]
         assert cli.main(argv + ["--trials", "8", "--workers", str(workers)]) == 0
-        reports[workers] = _without_workers(json.loads((out / "report.json").read_text()))
-    assert 0 < len(spawned) <= 2
+        reports[workers] = (out / "report.json").read_bytes()
+    assert len(pool_calls.spawned) == 2
     assert reports[6] == reports[1]
     warnings = [line for line in capsys.readouterr().err.splitlines() if "run.workers" in line]
     assert warnings == [
@@ -776,11 +839,11 @@ def test_the_pool_starts_no_more_processes_than_this_process_has_cpus(
         "the pool starts at most 2 processes"
     ]
     # one batch already runs in-process: the CPU cap lowers nothing, no warning
-    spawned.clear()
+    pool_calls.spawned.clear()
     argv = ["campaign", "--config", str(cfg), "--out", str(tmp_path / "one"), "--format", "json"]
     # exit 3: this cell's one trial does not converge, which is not under test
     assert cli.main(argv + ["--trials", "1", "--workers", "6"]) in (0, 3)
-    assert spawned == []
+    assert pool_calls.spawned == []
     assert "run.workers" not in capsys.readouterr().err
 
 
@@ -796,7 +859,7 @@ def test_a_batch_equals_its_rows_run_alone():
         cells, ids = resolve_cells(cfg)
         for cell, data_id in zip(cells, ids):
             calib = experiments._cell_calibration(cfg, cell)
-            records = experiments._cell_trials(cfg, cell, data_id, calib, None)
+            records = experiments._run_trials(cfg, cell, data_id, calib, range(cfg.trials))
             for trial, record in enumerate(records):
                 net, z, init, _ = experiments._trial_inputs(cfg, cell, data_id, trial, calib)
                 alone = newton_ml_analog(z, net, GAUSSIAN_BELL, calib[1], init, cfg.solver)
@@ -819,7 +882,7 @@ def test_a_batch_equals_its_rows_run_alone():
             for cell, data_id in zip(cells, ids):
                 calib = experiments._cell_calibration(cfg, cell)
                 quantizer, bm = experiments._quantizer(cfg, cell)
-                records = experiments._cell_trials(cfg, cell, data_id, calib, None)
+                records = experiments._run_trials(cfg, cell, data_id, calib, range(cfg.trials))
                 for trial, record in enumerate(records):
                     net, z, init, _ = experiments._trial_inputs(cfg, cell, data_id, trial, calib)
                     assert_same_outcome(
@@ -842,9 +905,9 @@ def test_a_raising_row_is_recorded_and_the_others_estimated(monkeypatch):
     ):
         cells, ids = resolve_cells(cfg)
         calib = experiments._cell_calibration(cfg, cells[0])
-        healthy = experiments._cell_trials(cfg, cells[0], ids[0], calib, None)
+        healthy = experiments._run_trials(cfg, cells[0], ids[0], calib, range(cfg.trials))
         monkeypatch.setattr(estimators, "_modified_steps", broken)
-        records = experiments._cell_trials(cfg, cells[0], ids[0], calib, None)
+        records = experiments._run_trials(cfg, cells[0], ids[0], calib, range(cfg.trials))
         monkeypatch.undo()
         failed = [r for r in records if r.result is None]
         assert failed and len(failed) < len(records)
