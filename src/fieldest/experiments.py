@@ -494,13 +494,12 @@ def run_trial(cfg, trial):
 _BATCH_POINTS = 2**15
 
 
-def _trial_chunks(cfg, processes=1, runs=1):
+def _trial_chunks(cfg, cells, processes, runs):
     """Per cell of the sweep, the contiguous trial ranges that each estimator
     runs as one batch.  A cell is one batch unless its trials times K exceed
     ``_BATCH_POINTS``.  Only when the sweep's batches, ``runs`` per range,
     are fewer than ``processes`` is every cell cut further, into near-equal
     ranges of at least two trials."""
-    cells, _ = resolve_cells(cfg)
     pieces = [-(-cfg.trials // max(1, _BATCH_POINTS // cell.k)) for cell in cells]
     batches = runs * sum(pieces)
     if batches < processes:
@@ -603,7 +602,7 @@ def _sweep(cfg, estimators):
     cells, ids = resolve_cells(cfg)
     cpus = _usable_cpus()
     processes = min(cfg.workers or cpus, cpus)
-    chunks = _trial_chunks(cfg, processes, len(estimators))
+    chunks = _trial_chunks(cfg, cells, processes, len(estimators))
     workers = min(processes, len(estimators) * sum(map(len, chunks)))
     runs = [replace(cfg, estimator=e) for e in estimators]
     submit, executor = _Done.submit, None
@@ -633,6 +632,7 @@ def _sweep(cfg, estimators):
         # a pool gets every batch before the first cell is awaited
         for cell, data_id, calib, batches in queued() if executor is None else list(queued()):
             records = [[r for batch in run for r in batch.result()] for run in batches]
+            batches.clear()  # a read future holds its records: let them go with the cell
             yield cell, records, _cell_crlb(cfg, cell, data_id, calib)
     finally:
         if executor is not None:

@@ -1,9 +1,11 @@
 """Campaign machinery: metrics, sweep resolution, trials, aggregation, config."""
 
+import gc
 import json
 import multiprocessing
 import os
 import re
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -655,9 +657,9 @@ def _report_bytes(report, path):
 def _split_by(size):
     """A ``_trial_chunks`` that cuts every cell into ranges of ``size`` trials."""
 
-    def chunks(cfg, processes=1, runs=1):
+    def chunks(cfg, cells, processes, runs):
         cut = [range(s, min(s + size, cfg.trials)) for s in range(0, cfg.trials, size)]
-        return [cut for _ in resolve_cells(cfg)[0]]
+        return [cut for _ in cells]
 
     return chunks
 
@@ -784,20 +786,23 @@ def test_a_sweep_runs_each_cell_as_one_batch_per_estimator(pool_calls, tmp_path)
 
 
 def test_a_cell_is_cut_only_by_its_size_or_for_idle_processes():
+    def chunks(cfg, processes, runs):
+        return experiments._trial_chunks(cfg, resolve_cells(cfg)[0], processes, runs)
+
     cfg = ExperimentConfig(k_values=(20,), trials=1000)
     # one cell of 1000 x 20 trial-sensor pairs is one batch, cut in two for
     # two processes unless a second estimator already fills the second
-    assert experiments._trial_chunks(cfg) == [[range(1000)]]
-    assert experiments._trial_chunks(cfg, 2) == [[range(0, 500), range(500, 1000)]]
-    assert experiments._trial_chunks(cfg, 2, runs=2) == [[range(1000)]]
+    assert chunks(cfg, 1, 1) == [[range(1000)]]
+    assert chunks(cfg, 2, 1) == [[range(0, 500), range(500, 1000)]]
+    assert chunks(cfg, 2, 2) == [[range(1000)]]
     # _BATCH_POINTS cuts a cell of K = 100 into ranges of at most 327 trials
     wide = replace(cfg, k_values=(10, 100))
-    assert experiments._trial_chunks(wide, 2) == [
+    assert chunks(wide, 2, 1) == [
         [range(1000)], [range(0, 250), range(250, 500), range(500, 750), range(750, 1000)]
     ]
     # never into batches of fewer than two trials
-    assert experiments._trial_chunks(replace(cfg, trials=3), 2) == [[range(3)]]
-    assert experiments._trial_chunks(replace(cfg, trials=5), 8) == [[range(0, 2), range(2, 5)]]
+    assert chunks(replace(cfg, trials=3), 2, 1) == [[range(3)]]
+    assert chunks(replace(cfg, trials=5), 8, 1) == [[range(0, 2), range(2, 5)]]
 
 
 def test_closing_the_sweep_cancels_its_queued_batches(pool_calls):
@@ -812,6 +817,23 @@ def test_closing_the_sweep_cancels_its_queued_batches(pool_calls):
     assert len(pool_calls.futures) == 16 and len(pool_calls.spawned) == 2
     assert all(f.done() for f in pool_calls.futures)
     assert any(f.cancelled() for f in pool_calls.futures)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_read_cell_lets_go_of_its_records(pool_calls):
+    # the pool holds every batch of the sweep from the start, but once a
+    # cell is read and the next one yielded, no future keeps its records
+    pool_calls.with_cpus(2)
+    cfg = _tiny_analog_cfg(k_values=(6, 7, 8), trials=4)
+    sweep = experiments._sweep(cfg, ("newton",))
+    _, (records,), _ = next(sweep)
+    pool_calls.futures.clear()  # the fixture's own references
+    first = weakref.ref(records[0])
+    del records
+    next(sweep)
+    gc.collect()
+    assert first() is None
+    sweep.close()
     assert multiprocessing.active_children() == []
 
 
