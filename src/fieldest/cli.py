@@ -7,7 +7,7 @@ Subcommands:
   compare   EM vs NR head-to-head on bit-identical trials; writes compare.json
 
 Exit codes: 0 success, 2 configuration error, 3 a campaign cell had no
-converged trial, 4 I/O failure.
+converged trial, 4 I/O failure, 5 a worker process of the sweep died.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from ._version import __version__
 from .experiments import (
     CONFIG_SCHEMA,
     REFUSALS,
+    WorkerDiedError,
     compare_em_nr,
     crlb_report,
     export_po_csv,
@@ -172,6 +173,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except WorkerDiedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -9,10 +9,13 @@ Fisher information J_k about g_k.
   Phi_kji = (2 pi eta^2)^(-alpha/2) Int e_j(z) e_i(z) / x_k(z) dz over the
   received word, e_j(z) = exp(-||z - b_j||^2/(2 eta^2)), x_k = sum_v p_kv e_v.
   The truncated series expands 1/x = sum_n (1-x)^n (0 < x <= 1)
-  multinomially into closed-form Gaussian integrals (lambda_term) over weak
-  compositions ell.  lambda_term depends on ell only through its lattice
+  multinomially into closed-form Gaussian integrals lambda(ell, j, i) over
+  weak compositions ell.  lambda depends on ell only through its lattice
   point (w, n) = (|ell|, ell B), B the 0/1 codebook, so Phi is a sum over
-  lattice points of grouped composition weights times lambda(w, n, j, i).
+  lattice points of summed composition weights times lambda(w, n, j, i).
+  Those sums factor over codewords (multinomial theorem): each pair of
+  levels 2j+1, 2j+2 is a leaf with a two-part composition table, and the
+  leaves fold together by convolution over (w, n).
   Simpson quadrature on a tensor grid over [-6 eta, 1 + 6 eta] per bit
   axis, the accuracy oracle, integrates
   J_k = (2 pi eta^2)^(-alpha/2) Int (sum_j dp_kj e_j)^2 / x_k dz directly.
@@ -23,9 +26,11 @@ term is sum_j d2p_kj, the second derivative of sum_j p_kj = 1, which is 0.
 
 Both quantized routes work in blocks of at most _BLOCK float64 elements per
 large temporary: the Simpson grid in runs of consecutive C-order points, the
-series in chunks of compositions and of lattice points.  A bound's working
-memory is then one block, whatever K, M, crlb.nodes and zeta are (the
-series' composition table aside).
+series in chunks of leaf compositions, of folded pairs and of lattice
+points.  A Simpson bound's working memory is then one block, whatever K, M
+and crlb.nodes are.  A series bound holds one block plus its lattice
+points' weights (points x K; two such sets while a fold runs), which grow
+with zeta and M: about 13 MB at K = 40, M = 16, zeta = 10.
 """
 
 from __future__ import annotations
@@ -128,8 +133,8 @@ def series_term_count(zeta, m):
     """The series guard's size measure: sum over n <= zeta, m' <= n of the
     compositions of n - m' into M parts, which telescopes to
     C(zeta + M + 1, M + 1).  It counts the terms of the expansion, not the
-    route's cost, which goes with the compositions of weight <= zeta and the
-    lattice points they share."""
+    route's cost, which goes with the lattice points (w, n), w <= zeta, and
+    the pairs of them that the leaves' fold multiplies."""
     return math.comb(zeta + m + 1, m + 1)
 
 
@@ -147,59 +152,14 @@ def _check_series_args(zeta, m):
     return zeta
 
 
-def lambda_term(ell, j, i, bm, eta2):
-    """Closed form of the Gaussian product integral
-
-        (2 pi eta^2)^(-alpha/2) Int e_j(z) e_i(z) prod_v e_v(z)^{ell_v} dz
-
-    over R^alpha: with c = sum(ell) + 2, m_vec = b_j + b_i + sum_v ell_v b_v
-    and S = ||b_j||^2 + ||b_i||^2 + sum_v ell_v ||b_v||^2 it equals
-    c^(-alpha/2) * exp((||m_vec||^2 / c - S) / (2 eta^2)).
-
-    j and i are 1-based level indices.
-    """
-    ell = np.asarray(ell, dtype=float)
-    m = bm.m
-    if ell.shape != (m,) or np.any(ell < 0):
-        raise ValueError(f"ell must be {m} nonnegative integers")
-    if not (1 <= j <= m and 1 <= i <= m):
-        raise ValueError(f"level indices must be in 1..{m}")
-    eta2 = _channel_variance(eta2)
-    book = bm.codebook
-    bj = book[j - 1]
-    bi = book[i - 1]
-    c = float(ell.sum()) + 2.0
-    m_vec = bj + bi + ell @ book
-    s_val = bj @ bj + bi @ bi + ell @ np.einsum("va,va->v", book, book)
-    return float(c ** (-bm.alpha / 2.0) * np.exp((m_vec @ m_vec / c - s_val) / (2.0 * eta2)))
-
-
-def _composition_table(zeta, m):
-    """(C, M) int16 matrix of all weak compositions with total <= zeta,
-    stacked by total in increasing order (lexicographic within each total),
-    plus the (C,) vector of totals.  int16 holds every part and total:
-    COMPOSITION_GUARD admits no zeta above 389 at any M >= 2."""
-    # the first M - 1 parts with total <= zeta, in lexicographic order: each
-    # row is followed by every value its remaining total leaves for the next part
-    head = np.zeros((1, 0), dtype=np.int16)
-    sums = np.zeros(1, dtype=np.int64)
-    for _ in range(m - 1):
-        counts = zeta + 1 - sums
-        nxt = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        head = np.column_stack([np.repeat(head, counts, axis=0), nxt.astype(np.int16)])
-        sums = np.repeat(sums, counts) + nxt
-    # the last part is what the total leaves, so the head's order is lexicographic
-    table = np.empty((math.comb(zeta + m, m), m), dtype=np.int16)
-    totals = np.empty(table.shape[0], dtype=np.int16)
-    r0 = 0
-    for w in range(zeta + 1):
-        fits = np.flatnonzero(sums <= w)
-        rows = slice(r0, r0 + fits.size)
-        table[rows, :-1] = head[fits]
-        table[rows, -1] = w - sums[fits]
-        totals[rows] = w
-        r0 += fits.size
-    return table, totals
+def _leaf_table(zeta):
+    """(C, 2) int16 matrix of the weak compositions of every total <= zeta
+    into two parts, stacked by total in increasing order and lexicographic
+    within a total: (0, w), (1, w - 1), ..., (w, 0).  int16 holds every
+    part: COMPOSITION_GUARD admits no zeta above 389 at any M >= 2."""
+    totals = np.repeat(np.arange(zeta + 1), np.arange(1, zeta + 2))
+    first = np.arange(totals.size) - totals * (totals + 1) // 2
+    return np.column_stack([first, totals - first]).astype(np.int16)
 
 
 def _series_coefficients(zeta):
@@ -211,24 +171,69 @@ def _series_coefficients(zeta):
     return coef
 
 
-def _lattice_points(ell_all, totals, book, zeta):
-    """Number the lattice points (w, n) = (|ell|, ell B) of the compositions
-    in order of first occurrence in the table.  Returns the table's row
-    order grouped by point, in table order within each point (C,), the point
-    index of each row in that order (C,), and the points' w (G,) and
-    n (G, alpha)."""
+def _fold(keys, weights, leaf_keys, leaf_weights, span, zeta):
+    """Convolve two sets of lattice-point weights over (w, n): each pair
+    with w_a + w_b <= zeta adds weights[a] * leaf_weights[b] to the point
+    keys[a] + leaf_keys[b].  A key is w * span + its n digits, so keys add
+    without carries.  Both inputs come in increasing w; the output points
+    come in increasing key order, each point summed in leaf order."""
+    ends = np.searchsorted(keys // span, zeta - leaf_keys // span, side="right")
+    hit = np.zeros(span * (zeta + 1), dtype=bool)
+    for key, end in zip(leaf_keys, ends):
+        hit[keys[:end] + key] = True
+    out_keys = np.flatnonzero(hit)
+    slot = np.empty(hit.size, dtype=np.intp)
+    slot[out_keys] = np.arange(out_keys.size)
+    out = np.zeros((out_keys.size, weights.shape[1]))
+    rows = max(1, _BLOCK // weights.shape[1])  # pairs per (rows, K) block
+    for key, leaf_row, end in zip(leaf_keys, leaf_weights, ends):
+        for r0 in range(0, end, rows):
+            r1 = min(r0 + rows, end)
+            # distinct keys[a] give distinct targets, so no index repeats
+            out[slot[keys[r0:r1] + key]] += weights[r0:r1] * leaf_row
+    return out_keys, out
+
+
+def _lattice_weights(logp, book, zeta):
+    """The lattice points (w, n) = (|ell|, ell B), w <= zeta, of the 0/1
+    codebook B and each sensor's summed weight at each point,
+    sum over ell at (w, n) of prod_v p_kv^{ell_v} / ell_v!, from log p (K, M).
+
+    The sum factors over any split of the codebook, since a composition's
+    weight is a product over its codewords and its lattice point a sum.  So
+    the codebook splits into two-codeword leaves, levels 2j+1 and 2j+2
+    (their words differ in the last bit).  A leaf's compositions are its
+    two-part table, each one its own lattice point, weighted by
+    exp(ell . log p - sum log ell!) in chunks of rows, and the leaves fold
+    into one set of weights (``_fold``).  M = 2 is one leaf and no fold:
+    each weight comes from one row, in table order, with the arithmetic of
+    the table of all compositions, so every bit of an M = 2 bound stays.
+    Returns the points' w (G,) and n (G, alpha) and the weights (G, K)."""
+    from scipy.special import gammaln  # loads at the first series bound
+
+    k, m = logp.shape
+    # a point's key is w (zeta + 1)^alpha + sum_a n_a (zeta + 1)^a, in int64:
+    # the int16 table would wrap it
     radix = (zeta + 1) ** np.arange(book.shape[1] + 1, dtype=np.int64)
-    # int64 throughout: the table is int16, and the key exceeds its range
-    key = totals.astype(np.int64) * radix[-1]
-    for v, digits in enumerate(book.astype(np.int64) @ radix[:-1]):
-        # column by column: no int64 copy of the table
-        key += ell_all[:, v].astype(np.int64) * digits
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    point_of = np.argsort(np.argsort(first))[inverse]
-    order = np.argsort(point_of, kind="stable")
-    points = key[np.sort(first)]
-    point_n = points[:, None] // radix[:-1] % (zeta + 1)
-    return order, point_of[order], points // radix[-1], point_n
+    table = _leaf_table(zeta)
+    totals = table.sum(axis=1, dtype=np.int64)
+    log_fact = gammaln(np.arange(zeta + 1) + 1.0)
+    chunk = max(1, _BLOCK // max(k, m))  # rows per (chunk, K) weight block
+    keys = weights = None
+    for j in range(0, m, 2):
+        leaf_keys = totals * radix[-1] + table.astype(np.int64) @ (
+            book[j : j + 2].astype(np.int64) @ radix[:-1]
+        )
+        leaf_weights = np.empty((table.shape[0], k))
+        for c0 in range(0, table.shape[0], chunk):
+            rows = table[c0 : c0 + chunk]
+            log_wt = rows.astype(float) @ logp[:, j : j + 2].T - log_fact[rows].sum(axis=1)[:, None]
+            leaf_weights[c0 : c0 + chunk] = np.exp(log_wt)
+        if weights is None:
+            keys, weights = leaf_keys, leaf_weights
+        else:
+            keys, weights = _fold(keys, weights, leaf_keys, leaf_weights, radix[-1], zeta)
+    return keys // radix[-1], keys[:, None] // radix[:-1] % (zeta + 1), weights
 
 
 def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
@@ -236,41 +241,27 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
 
     I = sum_k sum_{j,i} dp_kj dp_ki Phi_kji with dp_kj = dp_kj/dg grad G_k and
     Phi_kji = sum over compositions ell (weight w <= zeta) of
-    c_w * prod_v p_kv^{ell_v} / prod_v ell_v! * lambda_term(ell, j, i).
-    lambda_term depends on ell only through its lattice point (w, n = ell B),
+    c_w * prod_v p_kv^{ell_v} / prod_v ell_v! * lambda(ell, j, i).
+    lambda depends on ell only through its lattice point (w, n = ell B),
     so Phi_kji = sum over lattice points of W_k(w, n) * lambda(w, n, j, i),
     where W_k(w, n) is c_w times the sum of the weights of the compositions
-    at (w, n).  The result is symmetrized before output.
+    at (w, n): from two-codeword leaves and their fold (``_lattice_weights``),
+    which keep every bit of an M = 2 bound and change only the order of the
+    weights' sums at M >= 4.  The result is symmetrized before output.
     """
-    from scipy.special import gammaln  # loads at the first series bound
-
     m = bm.m
     zeta = _check_series_args(zeta, m)
     eta2, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
     dp = dp_dg[:, :, None] * grads[:, None, :]
 
     book = bm.codebook
-    ell_all, totals = _composition_table(zeta, m)
-    order, point_of, point_w, point_n = _lattice_points(ell_all, totals, book, zeta)
-    n_points = point_w.size
-    coef = _series_coefficients(zeta)[point_w]
-    log_fact = gammaln(np.arange(zeta + 1) + 1.0)
     norms = np.einsum("va,va->v", book, book)
     with np.errstate(divide="ignore"):
         logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), -1e9)
+    point_w, point_n, weights = _lattice_weights(logp, book, zeta)
+    weights *= _series_coefficients(zeta)[point_w][:, None]
 
-    k = p.shape[0]
-    chunk = max(1, _BLOCK // max(k, m))  # rows per (chunk, K) weight block
-    weights = np.zeros((n_points, k))
-    for c0 in range(0, order.size, chunk):
-        # rows grouped by point, so each point's weights add in table order
-        rows = ell_all[order[c0 : c0 + chunk]]
-        ids = point_of[c0 : c0 + chunk]
-        log_wt = rows.astype(float) @ logp.T - log_fact[rows].sum(axis=1)[:, None]
-        starts = np.flatnonzero(np.diff(ids, prepend=-1))
-        weights[ids[starts]] += np.add.reduceat(np.exp(log_wt), starts, axis=0)
-    weights *= coef[:, None]
-
+    k, n_points = p.shape[0], point_w.size
     phi = np.zeros((k, m, m))
     lam_chunk = max(1, _BLOCK // m**2)  # points per (chunk, M, M) lambda block
     for c0 in range(0, n_points, lam_chunk):

@@ -25,7 +25,7 @@ import sys
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,6 +62,11 @@ from .network import (
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (bad key, value, or combination)."""
+
+
+class WorkerDiedError(RuntimeError):
+    """A pool worker ended before its batches finished (killed by the OS,
+    say); the sweep's other batches are cancelled."""
 
 
 # Refusals of a configuration or of a bound (the CLI's exit code 2).
@@ -185,7 +190,7 @@ class ExperimentConfig:
             )
         # a noise variance is a mean power over 10^(snr/10); on the quantized
         # channel the power lies between the extreme squared levels
-        mean_sq = _mean_square(GAUSSIAN_BELL, self.truth, self.area, self.grid)
+        mean_sq = _config_mean_square(self.truth, self.area, self.grid)
         bounds = []
         if self.channel == "quantized":
             lo, hi = self.quantizer_lo, self.quantizer_hi
@@ -228,6 +233,14 @@ class TrialRecord:
     se: float | None
     converged: bool
     error: str | None = None
+
+
+@lru_cache(maxsize=32)
+def _config_mean_square(truth, area, grid):
+    """The field's mean square over the area (``_mean_square``), integrated
+    once per (truth, area, grid): a configuration, each ``replace`` of it
+    and each of its cells' calibrations read the same float."""
+    return _mean_square(GAUSSIAN_BELL, truth, area, grid)
 
 
 def _noise_variance(key, power, snr_db):
@@ -377,10 +390,10 @@ def _quantizer(cfg, cell):
 
 def _cell_calibration(cfg, cell):
     """Noise variances (sigma2, eta2) for one cell; pure function of the cell.
-    The field's mean square over the area is integrated once and gives what
-    ``calibrate_sigma`` and, on the analog channel, ``calibrate_eta_analog``
-    return; each of those integrates it again."""
-    mean_sq = _mean_square(GAUSSIAN_BELL, cfg.truth, cfg.area, cfg.grid)
+    The field's mean square over the area, integrated once per configuration,
+    gives what ``calibrate_sigma`` and, on the analog channel,
+    ``calibrate_eta_analog`` return; each of those integrates it again."""
+    mean_sq = _config_mean_square(cfg.truth, cfg.area, cfg.grid)
     sigma2 = _at_snr(mean_sq, cell.snr_o_db)
     if cfg.channel == "analog":
         eta2 = _analog_eta2(mean_sq, sigma2, cell.snr_c_db)
@@ -598,14 +611,15 @@ def _sweep(cfg, estimators):
     in-process.  Each cell's batches are queued right after its calibration,
     so the pool starts after the first one (a quantized campaign's workers
     inherit scipy.special), and cells are yielded in order as their batches
-    finish."""
+    finish.  A worker that dies raises WorkerDiedError, and the pool cancels
+    the batches still queued."""
     cells, ids = resolve_cells(cfg)
     cpus = _usable_cpus()
     processes = min(cfg.workers or cpus, cpus)
     chunks = _trial_chunks(cfg, cells, processes, len(estimators))
     workers = min(processes, len(estimators) * sum(map(len, chunks)))
     runs = [replace(cfg, estimator=e) for e in estimators]
-    submit, executor = _Done.submit, None
+    submit, executor, broken = _Done.submit, None, ()  # no pool: nothing can break
     if workers > 1:
         if cfg.workers > cpus:
             print(
@@ -614,10 +628,10 @@ def _sweep(cfg, estimators):
                 file=sys.stderr,
             )
         # the pool's modules load only here
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         executor = ProcessPoolExecutor(max_workers=workers)
-        submit = executor.submit
+        submit, broken = executor.submit, BrokenProcessPool
 
     def queued():
         for cell, data_id, cell_chunks in zip(cells, ids, chunks):
@@ -634,6 +648,8 @@ def _sweep(cfg, estimators):
             records = [[r for batch in run for r in batch.result()] for run in batches]
             batches.clear()  # a read future holds its records: let them go with the cell
             yield cell, records, _cell_crlb(cfg, cell, data_id, calib)
+    except broken as exc:
+        raise WorkerDiedError(f"a worker process died before its batches finished: {exc}") from exc
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)

@@ -1,6 +1,7 @@
 """Shared fixtures (the default field/area and small calibrated setups),
 helpers that run one pipeline quantity for the tests, and the independent
-quadrature oracles that several test files check against."""
+references (closed forms and quadrature oracles) that several test files
+check against."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fieldest import (
     make_uniform_quantizer,
 )
 from fieldest import experiments
+from fieldest.channel import _channel_variance
 from fieldest.crlb import _grid_slabs
 from fieldest.estimators import (
     _bit_distances,
@@ -97,6 +99,35 @@ def posterior_quadrature(z_k, quantizer, bm, g, sigma, eta2):
         i1[j], _ = quad(lambda r: r * pdf(r), a_edge, b_edge, epsabs=1e-13, epsrel=1e-12, limit=200)
     p = level_probabilities(quantizer, g, sigma)
     return float(e @ i1) / float(e @ i0), float(e @ i0) / float(e @ p)
+
+
+def lambda_term(ell, j, i, bm, eta2):
+    """The series' independent reference for one composition ell: the
+    closed form of the Gaussian product integral
+
+        (2 pi eta^2)^(-alpha/2) Int e_j(z) e_i(z) prod_v e_v(z)^{ell_v} dz
+
+    over R^alpha: with c = sum(ell) + 2, m_vec = b_j + b_i + sum_v ell_v b_v
+    and S = ||b_j||^2 + ||b_i||^2 + sum_v ell_v ||b_v||^2 it equals
+    c^(-alpha/2) * exp((||m_vec||^2 / c - S) / (2 eta^2)).  The series route
+    evaluates it per lattice point instead.
+
+    j and i are 1-based level indices.
+    """
+    ell = np.asarray(ell, dtype=float)
+    m = bm.m
+    if ell.shape != (m,) or np.any(ell < 0):
+        raise ValueError(f"ell must be {m} nonnegative integers")
+    if not (1 <= j <= m and 1 <= i <= m):
+        raise ValueError(f"level indices must be in 1..{m}")
+    eta2 = _channel_variance(eta2)
+    book = bm.codebook
+    bj = book[j - 1]
+    bi = book[i - 1]
+    c = float(ell.sum()) + 2.0
+    m_vec = bj + bi + ell @ book
+    s_val = bj @ bj + bi @ bi + ell @ np.einsum("va,va->v", book, book)
+    return float(c ** (-bm.alpha / 2.0) * np.exp((m_vec @ m_vec / c - s_val) / (2.0 * eta2)))
 
 
 def gaussian_product_integral(ell, j, i, bm, eta2):

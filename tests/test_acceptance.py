@@ -34,7 +34,6 @@ from fieldest import (
     fisher_analog,
     fisher_quantized_series,
     fisher_quantized_simpson,
-    lambda_term,
     level_probabilities,
     loglik_quantized,
     make_uniform_quantizer,
@@ -48,6 +47,7 @@ from fieldest.experiments import resolve_cells
 from conftest import (
     gaussian_product_integral,
     grid_gamma,
+    lambda_term,
     posterior_mean,
     posterior_quadrature,
     quantized_loglik_derivs,

@@ -16,7 +16,6 @@ from fieldest import (
     fisher_analog,
     fisher_quantized_series,
     fisher_quantized_simpson,
-    lambda_term,
     level_probabilities,
     loglik_analog,
     loglik_quantized,
@@ -28,7 +27,7 @@ from fieldest import (
     sample_observations,
 )
 
-from conftest import make_network
+from conftest import lambda_term, make_network
 
 
 # ------------------------------------------------------------- quantizer
@@ -321,6 +320,8 @@ _ETA2_ENTRY_POINTS = {
     "fisher_quantized_simpson": lambda t, e: fisher_quantized_simpson(
         t.net, GAUSSIAN_BELL, t.truth, t.q, t.bm, e, nodes=21
     ),
+    # the series' test reference (conftest.py), which must not make a
+    # reference value out of a bad eta2 either
     "lambda_term": lambda t, e: lambda_term(np.zeros(t.bm.m), 1, 2, t.bm, e),
 }
 

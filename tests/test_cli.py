@@ -2,13 +2,15 @@
 
 import ast
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from fieldest import cli, estimators, experiments
+from fieldest import cli, estimators, experiments, network
 from fieldest.cli import build_parser, main
 
 ANALOG_CFG = """
@@ -244,7 +246,7 @@ def test_oversized_grid_exit_code(tmp_path, capsys, monkeypatch, key, limit, fir
     def integrate(*args):
         raise _Integrated
 
-    monkeypatch.setattr(experiments, "_mean_square", integrate)
+    monkeypatch.setattr(experiments, "_config_mean_square", integrate)
     cfg = _cfg_file(tmp_path, f"{key} = {first_refused}\n")
     assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"error: {key} must" in capsys.readouterr().err
@@ -346,6 +348,74 @@ def test_analog_commands_load_neither_scipy_special_nor_the_pool(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout.splitlines()[-1]) == [0, [], 0, True]
+
+
+def _die(*args):
+    """A batch whose worker process ends at once, as one the OS kills would."""
+    os._exit(9)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param(
+            "campaign", "channel.kind = analog\nnetwork.k = 6, 7\ntrials.count = 2\n", id="campaign"
+        ),
+        pytest.param(
+            "compare",
+            "channel.kind = quantized\nnetwork.k = 6\nchannel.m = 2, 4\ntrials.count = 1\n",
+            id="compare",
+        ),
+    ],
+)
+def test_a_dead_worker_exit_code(tmp_path, capfd, monkeypatch, command, text):
+    # two cells run as two or more batches in a pool of two processes; a
+    # worker that dies ends the command with one error line and exit code
+    # 5, writes nothing, and leaves no worker process behind
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(experiments, "_run_trials", _die)
+    cfg = _cfg_file(tmp_path, text + "crlb.enabled = false\nrun.workers = 2\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 5
+    err = capfd.readouterr().err
+    assert err.startswith("error: a worker process died") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param(
+            "campaign",
+            ANALOG_CFG.replace("crlb.enabled = false", "crlb.enabled = true"),
+            id="campaign",
+        ),
+        pytest.param(
+            "crlb",
+            "channel.kind = quantized\nchannel.m = 2\nnetwork.k = 10\ncrlb.nodes = 21\n",
+            id="crlb",
+        ),
+        pytest.param(
+            "compare", QUANTIZED_CFG.replace("channel.m = 4", "channel.m = 2, 4"), id="compare"
+        ),
+    ],
+)
+def test_a_command_integrates_the_area_once(tmp_path, capsys, monkeypatch, command, text):
+    # the configuration, every replace of it and every cell's calibration
+    # read one mean square of the field over the area
+    calls = []
+    real = network.field_squared_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "field_squared_integral", counting)
+    experiments._config_mean_square.cache_clear()
+    cfg = _cfg_file(tmp_path, text + "run.workers = 1\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 3)
+    assert len(calls) == 1
 
 
 def test_out_collision_exit_code(tmp_path, capsys):

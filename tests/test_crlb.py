@@ -18,7 +18,6 @@ from fieldest import (
     fisher_analog,
     fisher_quantized_series,
     fisher_quantized_simpson,
-    lambda_term,
     level_probabilities,
     make_uniform_quantizer,
     series_term_count,
@@ -27,7 +26,13 @@ from fieldest import (
 from fieldest._quadrature import _simpson_at, simpson_nodes_weights
 from fieldest.channel import _p_slopes
 
-from conftest import gaussian_product_integral, grid_gamma, make_network, quantized_loglik_derivs
+from conftest import (
+    gaussian_product_integral,
+    grid_gamma,
+    lambda_term,
+    make_network,
+    quantized_loglik_derivs,
+)
 
 
 # ------------------------------------------------------- crlb_from_fisher
@@ -93,19 +98,6 @@ def _compositions_brute(total, parts):
     ]
 
 
-@pytest.mark.parametrize("total,parts", [(0, 1), (3, 1), (2, 2), (4, 3), (3, 4), (5, 2)])
-def test_compositions_match_brute_force(total, parts):
-    """The composition table's rows of one total are that total's weak
-    compositions, each once, in lexicographic order."""
-    table, totals = crlb_mod._composition_table(total, parts)
-    got = [tuple(int(v) for v in row) for row in table[totals == total]]
-    brute = sorted(_compositions_brute(total, parts))
-    assert sorted(got) == brute
-    assert len(set(got)) == len(got)
-    assert got == sorted(got)  # emitted in lexicographic order
-    assert len(got) == math.comb(total + parts - 1, parts - 1)
-
-
 @given(zeta=st.integers(0, 8), m_exp=st.integers(1, 3))
 @settings(deadline=None, max_examples=60)
 def test_series_term_count_counts_the_enumeration(zeta, m_exp):
@@ -116,21 +108,23 @@ def test_series_term_count_counts_the_enumeration(zeta, m_exp):
     assert series_term_count(zeta, m) == brute
 
 
-@pytest.mark.parametrize(
-    "zeta,m", [(z, m) for z in (0, 3, 6) for m in (1, 2, 4, 8)] + [(6, 16)]
-)
-def test_composition_table_is_the_enumeration_stacked_by_total(zeta, m):
-    table, totals = crlb_mod._composition_table(zeta, m)
-    brute = [c for w in range(zeta + 1) for c in sorted(_compositions_brute(w, m))]
+@pytest.mark.parametrize("zeta", [0, 1, 3, 6, 40, 389])
+def test_leaf_table_is_the_two_part_enumeration_stacked_by_total(zeta):
+    """A leaf's table holds each weak composition of 0..zeta into two parts
+    once, by total, lexicographic within a total (the row order that keeps
+    M = 2 bounds bitwise)."""
+    table = crlb_mod._leaf_table(zeta)
+    brute = [c for w in range(zeta + 1) for c in sorted(_compositions_brute(w, 2))]
     assert [tuple(int(v) for v in row) for row in table] == brute
-    np.testing.assert_array_equal(totals, table.sum(axis=1))
+    assert table.dtype == np.int16
 
 
-@pytest.mark.parametrize("m", [2, 4, 8, 16])
-def test_guard_accepted_orders_fit_the_int16_composition_table(m):
-    """The largest order the series guard accepts at each M (389, 62, 19 and
-    10 for M = 2, 4, 8 and 16) bounds every part and total of the
-    composition table, which is int16.  A guard raised past int16 fails here."""
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+def test_guard_accepted_orders_fit_the_int16_leaf_table_and_the_key_range(m):
+    """The largest order the series guard accepts at each M (389, 62, 19,
+    10, 6 and 4 for M = 2 ... 64) bounds every part of the leaf table, which
+    is int16, and the fold's dense keys: (zeta + 1)^(alpha + 1) of them, at
+    most 250,047 (M = 4, zeta = 62).  A guard raised past either fails here."""
     zeta = 0
     while series_term_count(zeta + 1, m) < crlb_mod.COMPOSITION_GUARD:
         zeta += 1
@@ -138,26 +132,63 @@ def test_guard_accepted_orders_fit_the_int16_composition_table(m):
     with pytest.raises(CompositionGuardError):
         crlb_mod._check_series_args(zeta + 1, m)
     assert zeta <= np.iinfo(np.int16).max
-    assert crlb_mod._composition_table(0, m)[0].dtype == np.int16
+    alpha = m.bit_length() - 1
+    assert (zeta + 1) ** (alpha + 1) <= 250_047
+
+
+def _random_logp(k, m, seed):
+    """log p of k random probability rows over m levels, one level of each
+    row exactly 0 (the route's -1e9 stand-in for log 0)."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(m), size=k)
+    p[np.arange(k), rng.integers(0, m, size=k)] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        return p, np.where(p > 0, np.log(p), -1e9)
+
+
+@pytest.mark.parametrize("zeta,m", [(6, 2), (5, 4), (3, 8), (2, 16)])
+def test_lattice_weights_are_the_sums_over_compositions(zeta, m):
+    """Each lattice point's weight is the sum over the compositions at its
+    (|ell|, ell B) of prod_v p_v^ell_v / ell_v!, and every such point is
+    there once: at M = 2 in leaf-table order, above it in key order."""
+    book = BitMapper(m.bit_length() - 1).codebook
+    p, logp = _random_logp(3, m, seed=zeta + m)
+    brute = {}
+    for w in range(zeta + 1):
+        for ell in _compositions_brute(w, m):
+            point = (w, *(int(v) for v in np.array(ell) @ book))
+            wt = np.prod(p ** np.array(ell), axis=1) / math.prod(map(math.factorial, ell))
+            brute[point] = brute.get(point, 0.0) + wt
+    point_w, point_n, weights = crlb_mod._lattice_weights(logp, book, zeta)
+    points = [(int(w), *map(int, n)) for w, n in zip(point_w, point_n)]
+    assert sorted(points) == sorted(brute)
+    np.testing.assert_allclose(weights, [brute[q] for q in points], rtol=1e-13, atol=0)
+    if m == 2:
+        assert points == [(w, w - first) for w in range(zeta + 1) for first in range(w + 1)]
+    else:
+        assert points == sorted(points, key=lambda q: (q[0], *q[:0:-1]))
 
 
 @pytest.mark.parametrize("zeta,m", [(6, 16), (181, 2), (32, 4), (13, 8), (8, 16)])
-def test_lattice_points_decode_every_composition(zeta, m):
-    """Each row's point decodes to its own (|ell|, ell B).  All but the
-    benchmark's (6, 16) are the smallest orders whose mixed-radix key
-    exceeds the int16 range of the table.  Rows come grouped
-    by point, in table order within a point, points in first-occurrence order."""
-    table, totals = crlb_mod._composition_table(zeta, m)
-    book = BitMapper(m.bit_length() - 1).codebook
-    order, point_of, point_w, point_n = crlb_mod._lattice_points(table, totals, book, zeta)
-    np.testing.assert_array_equal(np.sort(order), np.arange(table.shape[0]))
-    np.testing.assert_array_equal(point_w[point_of], totals[order])
-    np.testing.assert_array_equal(point_n[point_of], table[order].astype(float) @ book)
-    assert len(set(zip(point_w.tolist(), map(tuple, point_n.tolist())))) == point_w.size
-    starts = np.flatnonzero(np.diff(point_of, prepend=-1))
-    np.testing.assert_array_equal(point_of[starts], np.arange(point_w.size))
-    assert np.all(np.diff(order[starts]) > 0)
-    assert np.all(np.diff(order)[np.diff(point_of) == 0] > 0)
+def test_lattice_weights_cover_every_point_at_the_int16_wrap_orders(zeta, m):
+    """Every (w, n) with 0 <= n_a <= w <= zeta is a lattice point of the
+    full codebook, once, and the weights at one w sum to (sum_v p_v)^w / w!
+    (multinomial theorem).  All but the benchmark's (6, 16) are the smallest
+    orders whose mixed-radix key exceeds the int16 range of the table: a
+    key that wrapped would decode to the wrong point."""
+    alpha = m.bit_length() - 1
+    p, logp = _random_logp(3, m, seed=zeta)
+    point_w, point_n, weights = crlb_mod._lattice_weights(
+        logp, BitMapper(alpha).codebook, zeta
+    )
+    points = set(zip(point_w.tolist(), map(tuple, point_n.tolist())))
+    assert len(points) == point_w.size == sum((w + 1) ** alpha for w in range(zeta + 1))
+    assert np.all((point_n >= 0) & (point_n <= point_w[:, None]))
+    normal = min(zeta, 100)  # 1/w! stays a normal float
+    by_w = np.array([weights[point_w == w].sum(axis=0) for w in range(normal + 1)])
+    want = np.array([p.sum(axis=1) ** w / math.factorial(w) for w in range(normal + 1)])
+    np.testing.assert_allclose(by_w, want, rtol=1e-12, atol=0)
 
 
 # ------------------------------------------------------------ lambda term
@@ -284,11 +315,14 @@ def test_series_equals_truncated_integrand(truth, area):
         assert np.abs(got - ref).max() / scale < 1e-7
 
 
-@pytest.mark.parametrize("zeta,m", [(4, 2), (3, 4), (2, 8), (2, 16)])
+@pytest.mark.parametrize(
+    "zeta,m", [(4, 2), (3, 4), (2, 8), (2, 16), (6, 4), (4, 8), (3, 16)]
+)
 def test_series_matches_its_sum_over_compositions(truth, area, zeta, m):
-    """The route groups compositions by lattice point (|ell|, ell B); it must
-    equal Phi summed composition by composition from lambda_term and the
-    docstring's weights c_w prod_v p_v^ell_v / ell_v!."""
+    """The route sums compositions by lattice point (|ell|, ell B), folding
+    two-codeword leaves; it must equal Phi summed composition by
+    composition from lambda_term and the docstring's weights
+    c_w prod_v p_v^ell_v / ell_v!."""
     net = make_network(6, area, 0.3937, seed=23)
     quantizer = make_uniform_quantizer(m, 0.0, 12.0)
     bm = BitMapper(m.bit_length() - 1)
@@ -296,33 +330,40 @@ def test_series_matches_its_sum_over_compositions(truth, area, zeta, m):
     got = fisher_quantized_series(net, GAUSSIAN_BELL, truth, quantizer, bm, eta2, zeta)
     p, dp = _theta_slopes(net, quantizer, bm, eta2, truth)
     levels = range(1, bm.m + 1)
+    lams = {}  # lambda_term depends on ell only through (|ell|, ell B): one (M, M) per point
     phi = np.zeros((net.k, bm.m, bm.m))
     for w in range(zeta + 1):
         c_w = (-1) ** w * sum(math.perm(n, w) for n in range(w, zeta + 1))
         for ell in _compositions_brute(w, bm.m):
-            lam = np.array([[lambda_term(ell, j, i, bm, eta2) for i in levels] for j in levels])
+            point = (w, *(np.array(ell) @ bm.codebook).tolist())
+            if point not in lams:
+                lams[point] = np.array(
+                    [[lambda_term(ell, j, i, bm, eta2) for i in levels] for j in levels]
+                )
             wt = c_w * np.prod(p ** np.array(ell), axis=1) / math.prod(map(math.factorial, ell))
-            phi += wt[:, None, None] * lam
+            phi += wt[:, None, None] * lams[point]
     entries = np.zeros((5, 5))
     for k in range(net.k):
         entries += dp[k].T @ phi[k] @ dp[k]
     np.testing.assert_allclose(got, entries, rtol=1e-12, atol=0)
 
 
-def test_series_memory_stays_chunked(truth, area):
-    """One K=40, M=16, zeta=6 bound sums its 74,613 composition weights in
-    chunks of at most _BLOCK elements and peaks at 8.4 MiB, most of it the
-    composition table; chunks of 16,384 rows peaked at 21 MiB, and one block
-    above 48 MiB."""
+@pytest.mark.parametrize("zeta,ceiling_mib", [(6, 6), (10, 32)])
+def test_series_memory_stays_chunked(truth, area, zeta, ceiling_mib):
+    """A K=40, M=16 bound holds its lattice points' weights (points x K, two
+    sets while a fold runs) and one block of at most _BLOCK elements per
+    temporary.  It peaks at 5.0 MiB at zeta = 6 (4,676 points; the table of
+    all compositions peaked at 8.4 MiB) and 26.5 MiB at zeta = 10 (39,974
+    points; the table, at about 450 MB)."""
     net = make_network(40, area, 0.3937, seed=5)
     quantizer = make_uniform_quantizer(16, 0.0, 12.0)
     tracemalloc.start()
     try:
-        fisher_quantized_series(net, GAUSSIAN_BELL, truth, quantizer, BitMapper(4), 0.5468, 6)
+        fisher_quantized_series(net, GAUSSIAN_BELL, truth, quantizer, BitMapper(4), 0.5468, zeta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < ceiling_mib * 2**20
 
 
 def test_series_undershoots_and_improves_with_zeta(truth, area):

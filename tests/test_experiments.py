@@ -957,14 +957,11 @@ def test_each_cell_is_calibrated_once(calibration_calls):
 
 
 @pytest.mark.parametrize("channel", ["analog", "quantized"])
-def test_cell_calibration_integrates_the_area_once(channel, monkeypatch):
-    """A cell's noise variances come from one area integral of G^2 and equal,
-    bit for bit, the public calibrations, each of which integrates it."""
-    cfg = ExperimentConfig(
-        channel=channel, k_values=(10,), m_values=(2, 16),
-        snr_o_db=(5.0, 15.0, 25.0), snr_c_db=(25.0, 10.0, 15.0),
-    )
-    cells, _ = resolve_cells(cfg)
+def test_a_configuration_integrates_the_area_once(channel, monkeypatch):
+    """A configuration, a replace of it that keeps truth, area and grid, and
+    all of its cells' noise variances share one area integral of G^2; the
+    variances equal, bit for bit, the public calibrations, each of which
+    integrates it."""
     calls = []
     real = network.field_squared_integral
 
@@ -973,8 +970,14 @@ def test_cell_calibration_integrates_the_area_once(channel, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(network, "field_squared_integral", counting)
-    got = [experiments._cell_calibration(cfg, cell) for cell in cells]
-    assert len(calls) == len(cells) == len(got)
+    experiments._config_mean_square.cache_clear()
+    cfg = ExperimentConfig(
+        channel=channel, k_values=(10,), m_values=(2, 16),
+        snr_o_db=(5.0, 15.0, 25.0), snr_c_db=(25.0, 10.0, 15.0),
+    )
+    cells, _ = resolve_cells(cfg)
+    got = [experiments._cell_calibration(replace(cfg, trials=7), cell) for cell in cells]
+    assert len(calls) == 1 and len(got) == len(cells)
     monkeypatch.undo()
     for cell, (sigma2, eta2) in zip(cells, got):
         want_sigma2 = calibrate_sigma(GAUSSIAN_BELL, cfg.truth, cfg.area, cell.snr_o_db)
