@@ -25,12 +25,17 @@ No route needs the field Hessian: the Fisher identity's second-derivative
 term is sum_j d2p_kj, the second derivative of sum_j p_kj = 1, which is 0.
 
 Both quantized routes work in blocks of at most _BLOCK float64 elements per
-large temporary: the Simpson grid in runs of consecutive C-order points, the
-series in chunks of leaf compositions, of folded pairs and of lattice
-points.  A Simpson bound's working memory is then one block, whatever K, M
-and crlb.nodes are.  A series bound holds one block plus its lattice
-points' weights (points x K; two such sets while a fold runs), which grow
-with zeta and M: about 13 MB at K = 40, M = 16, zeta = 10.
+large temporary.  Simpson takes runs of consecutive C-order grid points:
+whole axis-0 nodes when one node's inner grid fits, else R nodes of the
+deepest axis whose trailing grid of T points fits, at one node of each axis
+before it.  With the natural binary codebook, x_k(z) = sum_b P_k[b]
+prod_a e(z_a, b_a) over the bits, as is the numerator: the lead nodes fold
+into P, the trailing grid is one T x 2^tail factor, and a block's x and
+numerator are one (R x 2) @ (2 x T K) product each.  The series takes chunks
+of leaf compositions, of folded pairs and of lattice points.  A Simpson
+bound's working memory is a few blocks whatever K, M and crlb.nodes are; a
+series bound's is one block plus its lattice points' weights (points x K,
+two sets while a fold runs): about 13 MB at K = 40, M = 16, zeta = 10.
 """
 
 from __future__ import annotations
@@ -45,14 +50,18 @@ from ._quadrature import _simpson_at
 #: refuse series evaluations with more enumerated terms than this
 COMPOSITION_GUARD = 10**7
 
+#: refuse series orders above this: c_w reaches zeta!, and 171! overflows float64
+SERIES_ORDER_LIMIT = 170
+
 #: refuse Simpson evaluations whose grid size nodes^alpha x (M + K) exceeds this
 SIMPSON_GUARD = 10**8
 
-#: float64 elements per large temporary of the quantized routes (1 MiB): a
-#: block's rows x K and rows x M arrays hold at most this many.  Against
-#: 2**17 on 2 CPUs, 2**16 made two Simpson bounds (K=100, M=8, 81 nodes;
-#: K=40, M=16, 21 nodes) 7% slower, and 2**18 added 4.6 MB to the peak RSS
-#: of one process running four `fieldest crlb` configurations
+#: float64 elements per large temporary of the quantized routes (1 MiB).
+#: Against 2**17 on 2 CPUs, with per-bit Simpson factors, 2**16 made two
+#: Simpson bounds (K=100, M=8, 81 nodes; K=40, M=16, 21 nodes) 5-8% faster
+#: and 2**18 5-6% slower; one process running four `fieldest crlb`
+#: configurations peaked 1.6 MB lower and 1.3 MB higher.  The series route
+#: shares the constant, so it stays 2**17.
 _BLOCK = 2**17
 
 
@@ -139,10 +148,15 @@ def series_term_count(zeta, m):
 
 
 def _check_series_args(zeta, m):
-    """Validate the order; refuse (before computing) term counts beyond COMPOSITION_GUARD."""
+    """Validate the order; refuse (before computing) orders past either guard."""
     zeta = int(zeta)
     if zeta < 0:
         raise ValueError("zeta must be >= 0")
+    if zeta > SERIES_ORDER_LIMIT:
+        raise CompositionGuardError(
+            f"series with zeta={zeta}: its coefficients reach zeta! and overflow float64 "
+            f"(limit: zeta <= {SERIES_ORDER_LIMIT})"
+        )
     count = series_term_count(zeta, m)
     if count >= COMPOSITION_GUARD:
         raise CompositionGuardError(
@@ -156,7 +170,7 @@ def _leaf_table(zeta):
     """(C, 2) int16 matrix of the weak compositions of every total <= zeta
     into two parts, stacked by total in increasing order and lexicographic
     within a total: (0, w), (1, w - 1), ..., (w, 0).  int16 holds every
-    part: COMPOSITION_GUARD admits no zeta above 389 at any M >= 2."""
+    part: the series guards admit no zeta above SERIES_ORDER_LIMIT."""
     totals = np.repeat(np.arange(zeta + 1), np.arange(1, zeta + 2))
     first = np.arange(totals.size) - totals * (totals + 1) // 2
     return np.column_stack([first, totals - first]).astype(np.int16)
@@ -319,82 +333,68 @@ def _check_quantized_routes(methods, bm, zeta, nodes, k):
         guards[method]()
 
 
-def _grid_slabs(bm, eta2, nodes, rows):
-    """Yield (E, W) blocks covering the alpha-dimensional Simpson grid over
-    [-6 eta, 1 + 6 eta]^alpha in C order: E has rows
-    exp(-||z - b_j||^2/(2 eta^2)) per grid point and codeword, W the matching
-    tensor-product weights.  Each block is at most ``rows`` consecutive grid
-    points: whole axis-0 nodes when one node's inner grid fits, else a run of
-    nodes along the deepest axis a whose trailing grid (axes a+1..alpha-1)
-    fits, at one index of each axis before a.  Axis 0's nodes and weights
-    come from their indices, block by block, so a one-axis grid holds no
-    nodes-long table; and a block's entries keep the bits of the full tensor
-    product (factors multiplied from the last axis to the first)."""
+def _simpson_axis(eta2, nodes, i0, i1):
+    """One bit axis of the Simpson grid over [-6 eta, 1 + 6 eta]: e(z, b) =
+    exp(-(z - b)^2/(2 eta^2)) for b = 0, 1 (two columns) at the nodes
+    i0..i1-1, and their weights; a codeword's e_j(z) is prod_a e(z_a, b_ja)."""
     eta = np.sqrt(eta2)
-    lo, hi = -6.0 * eta, 1.0 + 6.0 * eta
-    bits = bm.codebook.astype(int)
-
-    def exps(i0, i1):
-        """exp(-(z - b)^2/(2 eta^2)) for b = 0, 1 (two columns) at the nodes
-        i0..i1-1 of one axis, and the nodes' Simpson weights."""
-        z, w = _simpson_at(lo, hi, nodes, np.arange(i0, i1))
-        return np.stack([np.exp(-0.5 * z**2 / eta2), np.exp(-0.5 * (z - 1.0) ** 2 / eta2)], 1), w
-
-    # Only a one-axis grid can be millions of nodes long.  Axes 1..alpha-1
-    # exist when alpha >= 2, where the Simpson guard keeps nodes <= 4471, and
-    # share one table: computing axis 1's runs per block instead, once per
-    # axis-0 node, made the K=100, M=8, 81-node bound 18-30% slower on 2 CPUs.
-    table = exps(0, nodes) if bm.alpha > 1 else None
-
-    def factors(a, i0, i1):
-        """Axis a's e_j (one column per codeword) at nodes i0..i1-1, and the
-        nodes' Simpson weights."""
-        e, w = exps(i0, i1) if a == 0 else (table[0][i0:i1], table[1][i0:i1])
-        return e[:, bits[:, a]], w
-
-    # axis `run` is split into runs of nodes; the axes after it form the
-    # trailing grid, a single all-ones row when there are none
-    run = bm.alpha - 1
-    while run > 0 and nodes ** (bm.alpha - run) <= rows:
-        run -= 1
-    e_tail, w_tail = np.ones((1, bm.m)), np.ones(1)
-    for a in range(bm.alpha - 1, run, -1):
-        e_a, w_a = factors(a, 0, nodes)
-        e_tail = (e_a[:, None, :] * e_tail[None]).reshape(-1, bm.m)
-        w_tail = (w_a[:, None] * w_tail[None, :]).ravel()
-    step = max(1, rows // w_tail.size)
-    for lead in np.ndindex(*(nodes,) * run):
-        # the fixed node of each axis before `run`, applied last axis first
-        lead_factors = [factors(a, i, i + 1) for a, i in reversed(list(enumerate(lead)))]
-        for i0 in range(0, nodes, step):
-            e_run, w_run = factors(run, i0, min(i0 + step, nodes))
-            e_blk = (e_run[:, None, :] * e_tail[None]).reshape(-1, bm.m)
-            w_blk = (w_run[:, None] * w_tail).ravel()
-            for e_a, w_a in lead_factors:
-                e_blk *= e_a[0]
-                w_blk *= w_a[0]
-            yield e_blk, w_blk
+    z, w = _simpson_at(-6.0 * eta, 1.0 + 6.0 * eta, nodes, np.arange(i0, i1))
+    return np.stack([np.exp(-0.5 * z**2 / eta2), np.exp(-0.5 * (z - 1.0) ** 2 / eta2)], 1), w
 
 
 def _info_simpson(p, dp, bm, eta2, nodes):
-    """J_k of every sensor, by tensor-grid Simpson, for the channel variance
-    eta2 (one float) that all sensors share."""
-    info = np.zeros(p.shape[0])
-    rows = min(nodes**bm.alpha, max(1, _BLOCK // max(p.shape[0], bm.m)))
-    # one rows x K buffer each, reused: fresh MiB arrays per block cost page
-    # faults that made a K=100, M=8, 81-node bound 40% slower on 2 CPUs
-    x_buf, num_buf = np.empty((2, rows, p.shape[0]))
-    for e_blk, w_blk in _grid_slabs(bm, eta2, nodes, rows):
-        x = np.matmul(e_blk, p.T, out=x_buf[: w_blk.size])
-        num = np.matmul(e_blk, dp.T, out=num_buf[: w_blk.size])
-        num *= num
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num /= x
-        empty = ~(x > 0)
-        if empty.any():
-            num[empty] = 0.0
-        info += w_blk @ num
-    return info * (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0)
+    """J_k of every sensor by tensor-grid Simpson from per-bit factors (module
+    docstring), for the channel variance eta2 (one float) all sensors share."""
+    k, alpha = p.shape[0], bm.alpha
+    rows = min(nodes**alpha, max(1, _BLOCK // max(k, bm.m)))
+    run = alpha - 1
+    while run > 0 and nodes ** (alpha - run) <= rows:
+        run -= 1
+    if run < alpha - 1 and rows < 2 * nodes ** (alpha - 1 - run):
+        run += 1  # one node of `run` per block: run the next axis whole, the same points
+    # Only a one-axis grid can be millions of nodes long; axes 1..alpha-1
+    # (nodes <= 4471 by the guard) share one table.
+    table = _simpson_axis(eta2, nodes, 0, nodes) if alpha > 1 else None
+
+    def axis(a, i0, i1):
+        return _simpson_axis(eta2, nodes, i0, i1) if a == 0 else (table[0][i0:i1], table[1][i0:i1])
+
+    # the trailing grid's factor: rows its points in C order, columns its bit words
+    e_tail, w_tail = np.ones((1, 1)), np.ones(1)
+    for a in range(alpha - 1, run, -1):
+        e_a, w_a = axis(a, 0, nodes)
+        e_tail = (e_a[:, None, :, None] * e_tail[None, :, None, :]).reshape(nodes * w_tail.size, -1)
+        w_tail = (w_a[:, None] * w_tail[None, :]).ravel()
+    coefs = [c.T.reshape(2**run, -1) for c in (p, dp)]  # (lead bits, other bits x K)
+    step = max(1, rows // w_tail.size)
+    info = np.zeros(k)
+    # reused buffers (fresh MiB arrays per block cost page faults that made a K=100, M=8,
+    # 81-node bound 40% slower on 2 CPUs), and x's and the numerator's (run bit, T x K) sums
+    x_buf, num_buf = np.empty((2, rows, k))
+    y_x, y_num = np.empty((2, 2, w_tail.size * k))
+    for lead in np.ndindex(*(nodes,) * run):
+        # the fixed node of each axis before `run`, applied last axis first
+        e_lead, w_lead = np.ones(1), 1.0
+        for a, i in reversed(list(enumerate(lead))):
+            e_a, w_a = axis(a, i, i + 1)
+            e_lead, w_lead = (e_a[0][:, None] * e_lead[None, :]).ravel(), w_lead * w_a[0]
+        for c, y in zip(coefs, (y_x, y_num)):
+            np.matmul(e_tail, (e_lead @ c).reshape(2, -1, k), out=y.reshape(2, -1, k))
+        for i0 in range(0, nodes, step):
+            e_run, w_run = axis(run, i0, min(i0 + step, nodes))
+            size = w_run.size * w_tail.size
+            x = np.matmul(e_run, y_x, out=x_buf[:size].reshape(w_run.size, -1)).reshape(size, k)
+            num = np.matmul(e_run, y_num, out=num_buf[:size].reshape(w_run.size, -1)).reshape(size, k)
+            w_blk = (w_run[:, None] * w_tail).ravel() * w_lead
+            num *= num
+            with np.errstate(divide="ignore", invalid="ignore"):
+                num /= x
+                part = w_blk @ num
+            if not np.isfinite(part).all():  # 0/0 or c/0 where x is 0; x > 0 keeps its bits
+                num[~(x > 0)] = 0.0
+                part = w_blk @ num
+            info += part
+    return info * (2.0 * np.pi * eta2) ** (-alpha / 2.0)
 
 
 def fisher_quantized_simpson(net, model, params, quantizer, bm, eta2, nodes=81):

@@ -21,7 +21,7 @@ from fieldest import (
 )
 from fieldest import experiments
 from fieldest.channel import _channel_variance
-from fieldest.crlb import _grid_slabs
+from fieldest.crlb import _simpson_axis
 from fieldest.estimators import (
     _bit_distances,
     _mixture_at,
@@ -150,16 +150,33 @@ def gaussian_product_integral(ell, j, i, bm, eta2):
     return total
 
 
+def tensor_grid(axes, book):
+    """The C-order tensor grid of per-axis tables axes = [(e_a, w_a), ...],
+    e_a (n_a, 2) holding e(z, 0) and e(z, 1) at axis a's nodes: its rows
+    e_j(z) = prod_a e_a[z_a, b_ja], one column per codeword of the 0/1
+    codebook book (M, alpha), and its weights prod_a w_a[z_a]."""
+    bits = np.asarray(book).astype(int)
+    e, w = np.ones((1, bits.shape[0])), np.ones(1)
+    for a, (e_a, w_a) in enumerate(axes):
+        e = (e[:, None, :] * e_a[:, bits[:, a]][None]).reshape(-1, bits.shape[0])
+        w = (w[:, None] * w_a[None]).ravel()
+    return e, w
+
+
 def grid_gamma(quantizer, bm, g, sigma, eta2, nodes=81):
     """Gamma_j = Int e_j(z) f_Z(z) / x(z) dz on the Simpson grid of the
-    quantized Fisher route (``_grid_slabs``), with the mixture pdf
-    f_Z = (2 pi eta^2)^(-alpha/2) x left unsimplified and the ratio zeroed
-    where x <= 0, as ``_info_simpson`` does.  Gamma_j = 1 by math, so its
-    distance from 1 is the grid's quadrature error."""
+    quantized Fisher route (its per-axis factors and weights,
+    ``_simpson_axis``), with the mixture pdf f_Z = (2 pi eta^2)^(-alpha/2) x
+    left unsimplified and the ratio zeroed where x <= 0, as
+    ``_info_simpson`` does.  Gamma_j = 1 by math, so its distance from 1 is
+    the grid's quadrature error."""
     p = level_probabilities(quantizer, float(g), float(sigma))
     norm = (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0)
+    e_axis, w_axis = _simpson_axis(eta2, nodes, 0, nodes)
     gamma = np.zeros(bm.m)
-    for e_blk, w_blk in _grid_slabs(bm, eta2, nodes, 4096):
+    for i in range(nodes):  # one axis-0 node's inner grid at a time
+        lead = [(e_axis[i : i + 1], w_axis[i : i + 1])]
+        e_blk, w_blk = tensor_grid(lead + [(e_axis, w_axis)] * (bm.alpha - 1), bm.codebook)
         x = e_blk @ p
         gamma += e_blk.T @ (w_blk * np.divide(norm * x, x, out=np.zeros_like(x), where=x > 0))
     return gamma

@@ -168,6 +168,17 @@ def test_crlb_composition_guard_exit_code(tmp_path, capsys):
         assert "(guard: " in capsys.readouterr().err
 
 
+def test_crlb_series_order_limit_exit_code(tmp_path, capsys):
+    # the series coefficients reach zeta!, which overflows float64 above
+    # zeta = 170: refused up front, not ended by an OverflowError
+    text = QUANTIZED_CFG.replace("channel.m = 4", "channel.m = 2").replace("k = 8", "k = 10")
+    cfg = _cfg_file(tmp_path, text)
+    assert main(["crlb", "--config", cfg, "--zeta", "171", "--nodes", "21"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: series with zeta=171") and err.count("\n") == 1
+    assert "(limit: zeta <= 170)" in err
+
+
 def test_crlb_refuses_before_computing_any_route(tmp_path, capsys, monkeypatch):
     # the series order passes its guard, the Simpson grid does not: no route runs
     def no_series(*args, **kwargs):

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     lambda_term,
     make_network,
     quantized_loglik_derivs,
+    tensor_grid,
 )
 
 
@@ -121,12 +123,16 @@ def test_leaf_table_is_the_two_part_enumeration_stacked_by_total(zeta):
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
 def test_guard_accepted_orders_fit_the_int16_leaf_table_and_the_key_range(m):
-    """The largest order the series guard accepts at each M (389, 62, 19,
-    10, 6 and 4 for M = 2 ... 64) bounds every part of the leaf table, which
-    is int16, and the fold's dense keys: (zeta + 1)^(alpha + 1) of them, at
+    """The largest order the series guards accept at each M (170, 62, 19,
+    10, 6 and 4 for M = 2 ... 64: the coefficients' float64 limit at M = 2,
+    the term count above it) bounds every part of the leaf table, which is
+    int16, and the fold's dense keys: (zeta + 1)^(alpha + 1) of them, at
     most 250,047 (M = 4, zeta = 62).  A guard raised past either fails here."""
     zeta = 0
-    while series_term_count(zeta + 1, m) < crlb_mod.COMPOSITION_GUARD:
+    while (
+        series_term_count(zeta + 1, m) < crlb_mod.COMPOSITION_GUARD
+        and zeta < crlb_mod.SERIES_ORDER_LIMIT
+    ):
         zeta += 1
     crlb_mod._check_series_args(zeta, m)
     with pytest.raises(CompositionGuardError):
@@ -134,6 +140,27 @@ def test_guard_accepted_orders_fit_the_int16_leaf_table_and_the_key_range(m):
     assert zeta <= np.iinfo(np.int16).max
     alpha = m.bit_length() - 1
     assert (zeta + 1) ** (alpha + 1) <= 250_047
+
+
+def test_series_refuses_orders_whose_coefficients_overflow(truth, area, monkeypatch):
+    """c_w reaches zeta!, which overflows float64 above zeta = 170: a larger
+    order is refused up front, naming the limit, before any weight is
+    computed, although the term count would admit it at M = 2."""
+
+    def no_weights(*args):
+        raise AssertionError("a refused order's weights were computed")
+
+    monkeypatch.setattr(crlb_mod, "_lattice_weights", no_weights)
+    net = make_network(10, area, 0.3937, seed=5)
+    quantizer = make_uniform_quantizer(2, 0.0, 12.0)
+    for zeta in (171, 389):
+        assert series_term_count(zeta, 2) < crlb_mod.COMPOSITION_GUARD
+        with pytest.raises(CompositionGuardError, match=r"overflow float64 \(limit: zeta <= 170\)"):
+            fisher_quantized_series(net, GAUSSIAN_BELL, truth, quantizer, BitMapper(1), 0.4, zeta)
+    crlb_mod._check_series_args(170, 2)
+    assert np.all(np.isfinite(crlb_mod._series_coefficients(170)))
+    with pytest.raises(OverflowError):
+        crlb_mod._series_coefficients(171)
 
 
 def _random_logp(k, m, seed):
@@ -483,12 +510,12 @@ def test_quantized_routes_ignore_second_derivatives(truth, area):
 
 def test_simpson_guard_refuses_large_grids_up_front(truth, area, monkeypatch):
     """nodes^alpha x (M + K) beyond SIMPSON_GUARD is refused before any grid
-    slab is built, naming crlb.nodes and the largest node count that passes."""
+    node is built, naming crlb.nodes and the largest node count that passes."""
 
     def no_grid(*args):
         raise AssertionError("the refused grid was computed")
 
-    monkeypatch.setattr(crlb_mod, "_grid_slabs", no_grid)
+    monkeypatch.setattr(crlb_mod, "_simpson_axis", no_grid)
     net = make_network(40, area, 0.3937, seed=5)
     quantizer = make_uniform_quantizer(16, 0.0, 12.0)
     with pytest.raises(CompositionGuardError, match=r"crlb\.nodes <= 35 passes") as exc:
@@ -516,40 +543,61 @@ def test_simpson_guard_refuses_large_grids_up_front(truth, area, monkeypatch):
         crlb_mod._check_simpson_args(BitMapper(alpha), nodes, k)
 
 
+def _brute_force_info(p, dp, bm, eta2, nodes):
+    """J_k on the full tensor grid, built here: every point's E row from the
+    per-axis tables, x = E p, the numerator E dp, the ratio num^2/x zeroed
+    where x <= 0, and the Simpson-weighted sum.  Returns J and x."""
+    eta = math.sqrt(eta2)
+    z, w = simpson_nodes_weights(-6.0 * eta, 1.0 + 6.0 * eta, nodes)
+    e_1d = np.stack([np.exp(-0.5 * z**2 / eta2), np.exp(-0.5 * (z - 1.0) ** 2 / eta2)], axis=1)
+    e_all, w_all = tensor_grid([(e_1d, w)] * bm.alpha, bm.codebook)
+    x, num = e_all @ p.T, e_all @ dp.T
+    ratio = np.divide(num**2, x, out=np.zeros_like(x), where=x > 0)
+    return (w_all @ ratio) * (2.0 * np.pi * eta2) ** (-bm.alpha / 2.0), x
+
+
+def _route_inputs(k, alpha, sigma_range, seed):
+    """p and dp/dg (K, M) of k sensors at random field values over [0, 12]."""
+    rng = np.random.default_rng(seed)
+    quantizer = make_uniform_quantizer(2**alpha, 0.0, 12.0)
+    g, sigma = rng.uniform(0.0, 12.0, k), rng.uniform(*sigma_range, k)
+    return level_probabilities(quantizer, g, sigma), _p_slopes(quantizer, g, sigma)[0]
+
+
 @pytest.mark.parametrize(
     "alpha, nodes",
     # per-node inner grids of nodes^(alpha-1) points: below 4096, and for
     # alpha >= 3 above
     [(1, 21), (1, 4097), (2, 21), (2, 101), (3, 21), (3, 65), (4, 7), (4, 17)],
 )
-def test_grid_slabs_cover_the_tensor_grid_in_c_order(alpha, nodes):
-    # blocks of 4096, 300 and 7 points hold whole axis-0 nodes, split one
-    # node's inner grid into runs along a deeper axis, or hold runs of fewer
-    # nodes than one axis has
+def test_simpson_route_matches_the_full_tensor_grid(alpha, nodes, monkeypatch):
+    """Per-bit factors give the J of the full grid: the whole grid as one
+    block, and blocks of 4096, 500, 300 and 7 points, which hold whole
+    axis-0 nodes, split one node's inner grid into runs along a deeper axis
+    (one node of an axis and its whole trailing grid at (3, 21) and (4, 17)
+    with 500 and 300), or hold runs of fewer nodes than one axis has."""
     bm, eta2 = BitMapper(alpha), 0.3
-    eta = math.sqrt(eta2)
-    z, w = simpson_nodes_weights(-6.0 * eta, 1.0 + 6.0 * eta, nodes)
-    e_1d = np.stack([np.exp(-0.5 * z**2 / eta2), np.exp(-0.5 * (z - 1.0) ** 2 / eta2)], axis=1)
-    idx = np.indices((nodes,) * alpha).reshape(alpha, -1)  # C order: axis 0 slowest
-    bits = bm.codebook.astype(int)
-    e_ref = np.prod([e_1d[idx[a]][:, bits[:, a]] for a in range(alpha)], axis=0)
-    w_ref = np.prod([w[idx[a]] for a in range(alpha)], axis=0)
-    (one_block,) = crlb_mod._grid_slabs(bm, eta2, nodes, nodes**alpha)
-    per_node = nodes ** (alpha - 1)
-    for rows in (4096, 300, 7):
-        blocks = list(crlb_mod._grid_slabs(bm, eta2, nodes, rows))
-        for _, w_blk in blocks:  # at most `rows` points, whole axis-0 nodes when one fits
-            assert len(w_blk) <= rows
-            if per_node <= rows:
-                assert len(w_blk) % per_node == 0
-        # in order, the blocks are the grid's consecutive C-order points
-        e_all = np.concatenate([e for e, _ in blocks])
-        w_all = np.concatenate([w for _, w in blocks])
-        assert e_all.shape == (nodes**alpha, bm.m) and w_all.shape == (nodes**alpha,)
-        np.testing.assert_allclose(e_all, e_ref, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(w_all, w_ref, rtol=1e-14, atol=0)
-        # each point has the bits of the grid taken as one block
-        assert np.array_equal(e_all, one_block[0]) and np.array_equal(w_all, one_block[1])
+    p, dp = _route_inputs(5, alpha, (0.3, 2.0), seed=alpha * nodes)
+    want, _ = _brute_force_info(p, dp, bm, eta2, nodes)
+    for rows in (nodes**alpha, 4096, 500, 300, 7):
+        monkeypatch.setattr(crlb_mod, "_BLOCK", rows * bm.m)
+        got = crlb_mod._info_simpson(p, dp, bm, eta2, nodes)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_simpson_route_masks_where_x_underflows():
+    """At eta^2 = 0.001 every e_j underflows at the grid's far corners, and
+    with levels of zero probability so does x: those points are left out
+    (as 0/0 and c/0), matching the masked brute-force sum, with no
+    RuntimeWarning."""
+    bm, eta2, nodes = BitMapper(2), 0.001, 81
+    p, dp = _route_inputs(12, 2, (0.05, 0.2), seed=3)
+    want, x = _brute_force_info(p, dp, bm, eta2, nodes)
+    assert np.count_nonzero(x == 0.0) > 0 and np.all(np.isfinite(want))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = crlb_mod._info_simpson(p, dp, bm, eta2, nodes)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("n", [21, 81, 4097, 1_000_001])
@@ -588,9 +636,10 @@ def test_simpson_bound_does_not_depend_on_the_block_size(truth, area, monkeypatc
 
 @pytest.mark.parametrize(
     "k, m, nodes, ceiling_mib",
-    # 2.5 and 3.3 MiB measured; blocks of whole axis-0 nodes peaked at 16.6
-    # and 47 MiB (a nodes-long table for the one-bit grid)
-    [(100, 8, 81, 4), (10, 2, 1_000_001, 6)],
+    # 2.3, 3.0 and 3.6 MiB measured (at K=40, M=16 the two rows x K buffers
+    # and the trailing sums); blocks of whole axis-0 nodes peaked at 16.6 and
+    # 47 MiB (a nodes-long table for the one-bit grid)
+    [(100, 8, 81, 4), (10, 2, 1_000_001, 6), (40, 16, 35, 5)],
 )
 def test_simpson_memory_is_one_block(truth, area, k, m, nodes, ceiling_mib):
     net = make_network(k, area, 0.3937, seed=5)
