@@ -574,13 +574,14 @@ def test_simpson_route_matches_the_full_tensor_grid(alpha, nodes, monkeypatch):
     """Per-bit factors give the J of the full grid: the whole grid as one
     block, and blocks of 4096, 500, 300 and 7 points, which hold whole
     axis-0 nodes, split one node's inner grid into runs along a deeper axis
-    (one node of an axis and its whole trailing grid at (3, 21) and (4, 17)
-    with 500 and 300), or hold runs of fewer nodes than one axis has."""
+    (one node of an axis and its whole trailing grid, so that the next axis
+    runs whole, at (3, 21), (4, 7) and (4, 17)), or hold runs of fewer nodes
+    than one axis has."""
     bm, eta2 = BitMapper(alpha), 0.3
     p, dp = _route_inputs(5, alpha, (0.3, 2.0), seed=alpha * nodes)
     want, _ = _brute_force_info(p, dp, bm, eta2, nodes)
     for rows in (nodes**alpha, 4096, 500, 300, 7):
-        monkeypatch.setattr(crlb_mod, "_BLOCK", rows * bm.m)
+        monkeypatch.setattr(crlb_mod, "_BLOCK", rows * max(p.shape[0], bm.m))
         got = crlb_mod._info_simpson(p, dp, bm, eta2, nodes)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
