@@ -15,7 +15,9 @@ Fisher information J_k about g_k.
   lattice points of summed composition weights times lambda(w, n, j, i).
   Those sums factor over codewords (multinomial theorem): each pair of
   levels 2j+1, 2j+2 is a leaf with a two-part composition table, and the
-  leaves fold together by convolution over (w, n).
+  leaves fold together by convolution over (w, n).  lambda is a product
+  over bit axes of f_w(n_a + b_ja + b_ia), f_w(x) = (w+2)^(-1/2)
+  exp((x^2/(w+2) - x)/(2 eta^2)), so a sensor's Phi takes 3^alpha values.
   Simpson quadrature on a tensor grid over [-6 eta, 1 + 6 eta] per bit
   axis, the accuracy oracle, integrates
   J_k = (2 pi eta^2)^(-alpha/2) Int (sum_j dp_kj e_j)^2 / x_k dz directly.
@@ -56,13 +58,14 @@ SERIES_ORDER_LIMIT = 170
 #: refuse Simpson evaluations whose grid size nodes^alpha x (M + K) exceeds this
 SIMPSON_GUARD = 10**8
 
-#: float64 elements per large temporary of the quantized routes (1 MiB).
-#: Against 2**17 on 2 CPUs, with per-bit Simpson factors, 2**16 made two
-#: Simpson bounds (K=100, M=8, 81 nodes; K=40, M=16, 21 nodes) 5-8% faster
-#: and 2**18 5-6% slower; one process running four `fieldest crlb`
-#: configurations peaked 1.6 MB lower and 1.3 MB higher.  The series route
-#: shares the constant, so it stays 2**17.
-_BLOCK = 2**17
+#: float64 elements per large temporary of the quantized routes (512 KiB).
+#: Against 2**17 (2 CPUs, one OpenBLAS thread, medians of 15 interleaved
+#: calls, two rounds), 2**16 made two Simpson bounds (K=100, M=8, 81 nodes;
+#: K=40, M=16, 21 nodes) 5-9% faster and two K=40, M=16 series bounds
+#: (zeta = 6, 10) 7-9% faster, left the K=100, M=8, zeta = 6 series within
+#: 1.3%, and cut the memory tests' tracemalloc peaks by 1.0-2.5 MiB; 2**18
+#: was up to 14% slower.
+_BLOCK = 2**16
 
 
 class SingularFisherError(np.linalg.LinAlgError):
@@ -142,8 +145,8 @@ def series_term_count(zeta, m):
     """The series guard's size measure: sum over n <= zeta, m' <= n of the
     compositions of n - m' into M parts, which telescopes to
     C(zeta + M + 1, M + 1).  It counts the terms of the expansion, not the
-    route's cost, which goes with the lattice points (w, n), w <= zeta, and
-    the pairs of them that the leaves' fold multiplies."""
+    route's cost, which goes with the lattice points (w, n), w <= zeta: the
+    fold's pairs of them, and 3^alpha kernel values x K weights per point."""
     return math.comb(zeta + m + 1, m + 1)
 
 
@@ -261,40 +264,32 @@ def fisher_quantized_series(net, model, params, quantizer, bm, eta2, zeta):
     where W_k(w, n) is c_w times the sum of the weights of the compositions
     at (w, n): from two-codeword leaves and their fold (``_lattice_weights``),
     which keep every bit of an M = 2 bound and change only the order of the
-    weights' sums at M >= 4.  The result is symmetrized before output.
+    weights' sums at M >= 4.  lambda is a product of per-axis factors
+    (module docstring), so Phi_k has 3^alpha values: Phi_kji = Phi_k[t_j +
+    t_i], t_j codeword j's bits in base 3.  The result is symmetrized.
     """
-    m = bm.m
-    zeta = _check_series_args(zeta, m)
+    zeta = _check_series_args(zeta, bm.m)
     eta2, p, dp_dg, grads = _quantized_inputs(net, model, params, quantizer, bm, eta2)
     dp = dp_dg[:, :, None] * grads[:, None, :]
 
-    book = bm.codebook
-    norms = np.einsum("va,va->v", book, book)
     with np.errstate(divide="ignore"):
         logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), -1e9)
-    point_w, point_n, weights = _lattice_weights(logp, book, zeta)
+    point_w, point_n, weights = _lattice_weights(logp, bm.codebook, zeta)
     weights *= _series_coefficients(zeta)[point_w][:, None]
 
-    k, n_points = p.shape[0], point_w.size
-    phi = np.zeros((k, m, m))
-    lam_chunk = max(1, _BLOCK // m**2)  # points per (chunk, M, M) lambda block
-    for c0 in range(0, n_points, lam_chunk):
-        cvec = point_w[c0 : c0 + lam_chunk] + 2.0
-        base_m = point_n[c0 : c0 + lam_chunk].astype(float)
-        base_s = base_m.sum(axis=1)  # n . 1 = ell . ||b_v||^2 for 0/1 codewords
-        lam = np.empty((cvec.size, m, m))
-        pref = cvec ** (-bm.alpha / 2.0)
-        for j in range(m):
-            mj = base_m + book[j]
-            sj = base_s + norms[j]
-            for i in range(j, m):
-                mv = mj + book[i]
-                val = pref * np.exp(
-                    (np.einsum("ca,ca->c", mv, mv) / cvec - sj - norms[i]) / (2.0 * eta2)
-                )
-                lam[:, j, i] = val
-                lam[:, i, j] = val
-        phi += (weights[c0 : c0 + lam_chunk].T @ lam.reshape(cvec.size, -1)).reshape(k, m, m)
+    alpha = bm.alpha
+    phi = np.zeros((p.shape[0], 3**alpha))
+    lam_chunk = max(1, _BLOCK // 3**alpha)  # points per (chunk, 3^alpha) kernel block
+    for c0 in range(0, point_w.size, lam_chunk):
+        c = (point_w[c0 : c0 + lam_chunk] + 2.0)[:, None, None]
+        x = point_n[c0 : c0 + lam_chunk, :, None] + np.arange(3.0)  # n_a + b_ja + b_ia
+        f = c**-0.5 * np.exp((x * x / c - x) / (2.0 * eta2))
+        kernel = f[:, 0]
+        for a in range(1, alpha):
+            kernel = (kernel[:, :, None] * f[:, a, None, :]).reshape(kernel.shape[0], -1)
+        phi += weights[c0 : c0 + lam_chunk].T @ kernel
+    t = bm.codebook.astype(np.intp) @ 3 ** np.arange(alpha - 1, -1, -1)
+    phi = phi[:, t[:, None] + t[None, :]]
     # kept in theta, not lifted from J: reordering moves near-singular bounds ~1e-7
     entries = np.einsum("kjs,kji,kit->st", dp, phi, dp, optimize=True)
     return 0.5 * (entries + entries.T)
@@ -368,7 +363,7 @@ def _info_simpson(p, dp, bm, eta2, nodes):
     coefs = [c.T.reshape(2**run, -1) for c in (p, dp)]  # (lead bits, other bits x K)
     step = max(1, rows // w_tail.size)
     info = np.zeros(k)
-    # reused buffers (fresh MiB arrays per block cost page faults that made a K=100, M=8,
+    # reused buffers (fresh arrays per block cost page faults that made a K=100, M=8,
     # 81-node bound 40% slower on 2 CPUs), and x's and the numerator's (run bit, T x K) sums
     x_buf, num_buf = np.empty((2, rows, k))
     y_x, y_num = np.empty((2, 2, w_tail.size * k))

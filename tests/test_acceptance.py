@@ -216,7 +216,7 @@ def test_series_bound_tracks_quadrature(tmp_path):
         "The residual is positive semidefinite — the series climbs toward the "
         "quadrature value from below — and decays only as a power law in the "
         "order (roughly order^-0.65 here), so 1% would need order ~2700: far "
-        "beyond both the term-count guard (~order 387 at M=2) and float64, "
+        "beyond both the order limit (zeta <= 170, SERIES_ORDER_LIMIT) and float64, "
         "whose regrouped alternating coefficients cancel catastrophically "
         "past order ~50.  At this calibration the channel noise (eta^2 ~ "
         "0.55) is not small against the unit bit spacing, which is what the "

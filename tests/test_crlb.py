@@ -343,7 +343,7 @@ def test_series_equals_truncated_integrand(truth, area):
 
 
 @pytest.mark.parametrize(
-    "zeta,m", [(4, 2), (3, 4), (2, 8), (2, 16), (6, 4), (4, 8), (3, 16)]
+    "zeta,m", [(4, 2), (3, 4), (2, 8), (2, 16), (6, 4), (4, 8), (3, 16), (1, 32)]
 )
 def test_series_matches_its_sum_over_compositions(truth, area, zeta, m):
     """The route sums compositions by lattice point (|ell|, ell B), folding
@@ -379,8 +379,8 @@ def test_series_matches_its_sum_over_compositions(truth, area, zeta, m):
 def test_series_memory_stays_chunked(truth, area, zeta, ceiling_mib):
     """A K=40, M=16 bound holds its lattice points' weights (points x K, two
     sets while a fold runs) and one block of at most _BLOCK elements per
-    temporary.  It peaks at 5.0 MiB at zeta = 6 (4,676 points; the table of
-    all compositions peaked at 8.4 MiB) and 26.5 MiB at zeta = 10 (39,974
+    temporary.  It peaks at 4.0 MiB at zeta = 6 (4,676 points; the table of
+    all compositions peaked at 8.4 MiB) and 25.5 MiB at zeta = 10 (39,974
     points; the table, at about 450 MB)."""
     net = make_network(40, area, 0.3937, seed=5)
     quantizer = make_uniform_quantizer(16, 0.0, 12.0)
@@ -637,7 +637,7 @@ def test_simpson_bound_does_not_depend_on_the_block_size(truth, area, monkeypatc
 
 @pytest.mark.parametrize(
     "k, m, nodes, ceiling_mib",
-    # 2.3, 3.0 and 3.6 MiB measured (at K=40, M=16 the two rows x K buffers
+    # 1.3, 1.5 and 1.1 MiB measured (at K=40, M=16 the two rows x K buffers
     # and the trailing sums); blocks of whole axis-0 nodes peaked at 16.6 and
     # 47 MiB (a nodes-long table for the one-bit grid)
     [(100, 8, 81, 4), (10, 2, 1_000_001, 6), (40, 16, 35, 5)],
